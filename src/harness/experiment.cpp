@@ -108,9 +108,9 @@ ExperimentRunner::ExperimentRunner(SimConfig sim_cfg,
               _cfg.linearPowerModel ? 1.0 : 0.3,
               _cfg.linearPowerModel ? 1.0 : 4.0)
 {
-    if (_cfg.budgetFraction <= 0.0 || _cfg.budgetFraction > 1.0)
+    if (!(_cfg.budgetFraction > 0.0 && _cfg.budgetFraction <= 1.0))
         fatal("ExperimentRunner: budget fraction must be in (0, 1]");
-    if (_cfg.targetInstructions <= 0.0)
+    if (!(_cfg.targetInstructions > 0.0))
         fatal("ExperimentRunner: target instructions must be positive");
     _baseBudgetFraction = _cfg.budgetFraction;
 

@@ -1,5 +1,7 @@
 #include "sim/config.hpp"
 
+#include <cmath>
+
 #include "util/logging.hpp"
 
 namespace fastcap {
@@ -38,6 +40,8 @@ SimConfig::defaultConfig(int cores)
 void
 SimConfig::validate() const
 {
+    // Guards are written so that NaN fails them: every comparison
+    // with NaN is false.
     if (numCores < 1)
         fatal("SimConfig: numCores must be >= 1 (got %d)", numCores);
     if (numControllers < 1)
@@ -46,24 +50,26 @@ SimConfig::validate() const
     if (banksPerController < 1)
         fatal("SimConfig: banksPerController must be >= 1 (got %d)",
               banksPerController);
-    if (busBurstCycles <= 0.0)
+    if (!(busBurstCycles > 0.0))
         fatal("SimConfig: busBurstCycles must be positive");
-    if (epochLength <= 0.0 || profileWindow <= 0.0 || execWindow <= 0.0)
+    if (!(epochLength > 0.0 && profileWindow > 0.0 && execWindow > 0.0))
         fatal("SimConfig: epoch/window lengths must be positive");
     if (profileWindow + execWindow > epochLength)
         fatal("SimConfig: sampling windows (%g s) exceed the epoch "
               "(%g s)", profileWindow + execWindow, epochLength);
-    if (skewHotFraction <= 0.0 || skewHotFraction > 1.0)
+    if (!(skewHotFraction > 0.0 && skewHotFraction <= 1.0))
         fatal("SimConfig: skewHotFraction must be in (0, 1]");
-    if (rowHitRate < 0.0 || rowHitRate > 1.0)
+    if (!(rowHitRate >= 0.0 && rowHitRate <= 1.0))
         fatal("SimConfig: rowHitRate must be in [0, 1]");
-    if (bankRowHitTime <= 0.0 || bankRowMissTime < bankRowHitTime)
+    if (!(bankRowHitTime > 0.0 && bankRowMissTime >= bankRowHitTime))
         fatal("SimConfig: need 0 < bankRowHitTime <= bankRowMissTime");
+    if (!(std::isfinite(l2Time) && l2Time >= 0.0))
+        fatal("SimConfig: l2Time must be finite and >= 0");
     if (oooMaxOutstanding < 1)
         fatal("SimConfig: oooMaxOutstanding must be >= 1");
-    if (corePower.dynMax <= 0.0 || corePower.staticPower < 0.0)
+    if (!(corePower.dynMax > 0.0 && corePower.staticPower >= 0.0))
         fatal("SimConfig: core power parameters must be positive");
-    if (corePower.stallFactor < 0.0 || corePower.stallFactor > 1.0)
+    if (!(corePower.stallFactor >= 0.0 && corePower.stallFactor <= 1.0))
         fatal("SimConfig: stallFactor must be in [0, 1]");
 }
 

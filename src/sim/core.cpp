@@ -64,24 +64,49 @@ Core::maxOutstanding(const Phase &phase) const
 void
 Core::scheduleThink()
 {
+    if (_thinkPending)
+        panic("Core %d: second think scheduled while one is pending",
+              _id);
     const Phase &phase = _app->phaseAt(_instrRetired);
-    const double instr = phase.instructionsPerMiss();
+    _thinkInstr = phase.instructionsPerMiss();
     // Think time: instructions * CPI_exec cycles at the current
     // frequency, jittered to avoid lockstep artefacts.
-    const Seconds z = instr * phase.cpiExec / _freq *
+    _thinkTime = _thinkInstr * phase.cpiExec / _freq *
         _rng.jitter(_cfg.thinkJitterSigma);
-    _queue.scheduleAfter(z, [this, z, instr] {
-        onThinkDone(z, instr);
-    });
+    _thinkPending = true;
+    _queue.scheduleAfter(_thinkTime, *this, EventKind::ThinkDone);
 }
 
 void
-Core::onThinkDone(Seconds think_time, double instr)
+Core::onEvent(EventKind kind, std::uint32_t)
 {
+    switch (kind) {
+    case EventKind::ThinkDone:
+        onThinkDone();
+        return;
+    case EventKind::L2Submit: {
+        Request req;
+        req.type = RequestType::Read;
+        req.coreId = _id;
+        _submit(req);
+        return;
+    }
+    default:
+        panic("Core %d: unexpected event kind %d", _id,
+              static_cast<int>(kind));
+    }
+}
+
+void
+Core::onThinkDone()
+{
+    if (!_thinkPending)
+        panic("Core %d: think completed with none pending", _id);
+    _thinkPending = false;
     const Seconds now = _queue.now();
-    _instrRetired += instr;
-    _counters.instructions += static_cast<std::uint64_t>(instr);
-    _counters.busyTime += think_time;
+    _instrRetired += _thinkInstr;
+    _counters.instructions += static_cast<std::uint64_t>(_thinkInstr);
+    _counters.busyTime += _thinkTime;
     ++_counters.misses;
 
     const Phase &phase = _app->phaseAt(_instrRetired);
@@ -89,12 +114,8 @@ Core::onThinkDone(Seconds think_time, double instr)
 
     // Demand read: traverses the shared L2 (constant-latency separate
     // voltage domain), then the memory subsystem.
-    Request req;
-    req.type = RequestType::Read;
-    req.coreId = _id;
-    req.issueTime = now;
     ++_outstanding;
-    _queue.scheduleAfter(_cfg.l2Time, [this, req] { _submit(req); });
+    _queue.scheduleAfter(_cfg.l2Time, *this, EventKind::L2Submit);
 
     if (_outstanding >= maxOutstanding(phase)) {
         // In-order cores always block here; OoO cores block only when
@@ -119,7 +140,6 @@ Core::maybeIssueWriteback(const Phase &phase)
             Request wb;
             wb.type = RequestType::Writeback;
             wb.coreId = _id;
-            wb.issueTime = _queue.now();
             ++_counters.writebacks;
             _submit(wb);
         }

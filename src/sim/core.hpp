@@ -44,8 +44,13 @@ struct CoreCounters
  * waits for the line (in-order) or continues until its window fills
  * (OoO), and emits writebacks as background traffic off the critical
  * path.
+ *
+ * A core schedules two event kinds on its queue: ThinkDone, of which
+ * at most one is pending (its think time and instruction count live
+ * in the core), and L2Submit, one per demand read crossing the L2
+ * (several may be pending in OoO mode).
  */
-class Core
+class Core final : public EventTarget
 {
   public:
     /** Sink for generated requests (routed to a controller). */
@@ -105,8 +110,10 @@ class Core
     void flushStall(Seconds now);
 
   private:
+    /** Event dispatch (ThinkDone, L2Submit). */
+    void onEvent(EventKind kind, std::uint32_t arg) override;
     void scheduleThink();
-    void onThinkDone(Seconds think_time, double instr);
+    void onThinkDone();
     void maybeIssueWriteback(const Phase &phase);
     int maxOutstanding(const Phase &phase) const;
 
@@ -124,6 +131,10 @@ class Core
     CoreCounters _counters;
 
     bool _started = false;
+    /** The pending think: at most one per core. */
+    bool _thinkPending = false;
+    Seconds _thinkTime = 0.0;
+    double _thinkInstr = 0.0;
     bool _stalled = false;
     Seconds _stallStart = 0.0;
     int _outstanding = 0;

@@ -1,29 +1,57 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <utility>
+#include <cmath>
 
 #include "util/logging.hpp"
 
 namespace fastcap {
 
 void
-EventQueue::schedule(Seconds when, Callback cb)
+EventQueue::schedule(Seconds when, EventTarget &target, EventKind kind,
+                     std::uint32_t arg)
 {
+    // A NaN time would pass the past-check and break the heap order.
+    if (!std::isfinite(when))
+        panic("EventQueue::schedule: non-finite event time %g", when);
     if (when < _now)
         panic("EventQueue::schedule: event in the past (%g < %g)",
               when, _now);
-    _heap.push_back(Entry{when, _seq++, std::move(cb)});
-    std::push_heap(_heap.begin(), _heap.end(), Later{});
+    const Event e{when, _seq++, &target, kind, arg};
+    _heap.push_back(e);
+    Event *h = _heap.data();
+    std::size_t i = _heap.size() - 1;
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!earlier(e, h[parent]))
+            break;
+        h[i] = h[parent];
+        i = parent;
+    }
+    h[i] = e;
 }
 
-EventQueue::Entry
-EventQueue::popEntry()
+void
+EventQueue::popFront()
 {
-    std::pop_heap(_heap.begin(), _heap.end(), Later{});
-    Entry e = std::move(_heap.back());
+    const Event last = _heap.back();
     _heap.pop_back();
-    return e;
+    const std::size_t n = _heap.size();
+    if (n == 0)
+        return;
+    Event *h = _heap.data();
+    std::size_t i = 0;
+    for (;;) {
+        std::size_t child = 2 * i + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n && earlier(h[child + 1], h[child]))
+            ++child;
+        if (!earlier(h[child], last))
+            break;
+        h[i] = h[child];
+        i = child;
+    }
+    h[i] = last;
 }
 
 std::uint64_t
@@ -31,34 +59,17 @@ EventQueue::runUntil(Seconds t_end)
 {
     std::uint64_t ran = 0;
     while (!_heap.empty() && _heap.front().when <= t_end) {
-        // Extract before running so the callback may schedule freely.
-        Entry e = popEntry();
+        // Copy out before dispatching so the handler may schedule.
+        const Event e = _heap.front();
+        popFront();
         _now = e.when;
-        e.cb();
+        e.target->onEvent(e.kind, e.arg);
         ++ran;
         ++_processed;
     }
     if (t_end > _now)
         _now = t_end;
     return ran;
-}
-
-bool
-EventQueue::step()
-{
-    if (_heap.empty())
-        return false;
-    Entry e = popEntry();
-    _now = e.when;
-    e.cb();
-    ++_processed;
-    return true;
-}
-
-void
-EventQueue::clear()
-{
-    _heap.clear();
 }
 
 } // namespace fastcap

@@ -2,17 +2,25 @@
  * @file
  * Discrete-event simulation core.
  *
- * A single time-ordered queue of callbacks with deterministic FIFO
- * tie-breaking for equal timestamps. The whole simulator is
- * single-threaded; determinism (same seed, same event order, same
- * results) is a hard requirement for reproducing EXPERIMENTS.md.
+ * A time-ordered queue of typed events with deterministic FIFO
+ * tie-breaking for equal timestamps. An event is plain data — when,
+ * sequence number, target, kind and a 32-bit argument — so the queue
+ * stores no closures, allocates nothing per event beyond its heap
+ * array, and dispatches with one virtual call to the target.
+ *
+ * Threading: a queue and every target scheduled on it belong to one
+ * thread at a time. The monolithic engine runs one queue on the
+ * calling thread; the sharded engine runs one queue per shard, each
+ * advanced by a single pool worker between window barriers. Given
+ * the same inputs a queue fires the same events in the same order,
+ * which is what makes results reproducible (same seed, same output).
  */
 
 #ifndef FASTCAP_SIM_EVENT_QUEUE_HPP
 #define FASTCAP_SIM_EVENT_QUEUE_HPP
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "util/units.hpp"
@@ -20,16 +28,37 @@
 namespace fastcap {
 
 /**
+ * The simulator's event kinds. Core handles the first two,
+ * MemoryController the last two.
+ */
+enum class EventKind : std::uint8_t {
+    ThinkDone,    //!< Core: the pending think interval elapsed
+    L2Submit,     //!< Core: a demand read cleared the L2; submit it
+    BankDone,     //!< MemoryController: bank `arg` finished service
+    TransferDone, //!< MemoryController: the bus transfer finished
+};
+
+/** Receiver of typed events. */
+class EventTarget
+{
+  public:
+    /** Handle an event of `kind` with payload `arg` at queue.now(). */
+    virtual void onEvent(EventKind kind, std::uint32_t arg) = 0;
+
+  protected:
+    ~EventTarget() = default;
+};
+
+/**
  * Time-ordered event queue.
  *
- * Events are closures scheduled at absolute simulated times. Events
- * scheduled for the same instant fire in scheduling order.
+ * Events are scheduled at absolute simulated times. Events scheduled
+ * for the same instant fire in scheduling order, whatever their
+ * targets and kinds.
  */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-
     /** Current simulated time in seconds. */
     Seconds now() const { return _now; }
 
@@ -41,17 +70,22 @@ class EventQueue
     bool empty() const { return _heap.empty(); }
 
     /**
-     * Schedule `cb` at absolute time `when`.
+     * Schedule `kind` for `target` at absolute time `when`. The
+     * target must outlive the event.
      *
-     * Scheduling in the past is a library bug and panics; scheduling
-     * exactly at now() is allowed and fires on the next run step.
+     * Scheduling in the past or at a non-finite time is a library bug
+     * and panics; scheduling exactly at now() is allowed and fires on
+     * the next run step.
      */
-    void schedule(Seconds when, Callback cb);
+    void schedule(Seconds when, EventTarget &target, EventKind kind,
+                  std::uint32_t arg = 0);
 
-    /** Schedule `cb` at now() + delay. */
-    void scheduleAfter(Seconds delay, Callback cb)
+    /** Schedule at now() + delay. */
+    void
+    scheduleAfter(Seconds delay, EventTarget &target, EventKind kind,
+                  std::uint32_t arg = 0)
     {
-        schedule(_now + delay, std::move(cb));
+        schedule(_now + delay, target, kind, arg);
     }
 
     /**
@@ -63,46 +97,33 @@ class EventQueue
      */
     std::uint64_t runUntil(Seconds t_end);
 
-    /**
-     * Run a single event if one is pending.
-     * @return true if an event was executed.
-     */
-    bool step();
-
-    /** Drop all pending events (used between experiments). */
-    void clear();
-
   private:
-    struct Entry
+    /** One pending event; trivially copyable. */
+    struct Event
     {
-        Seconds when = 0.0;
-        std::uint64_t seq = 0;
-        Callback cb;
+        Seconds when;
+        std::uint64_t seq;
+        EventTarget *target;
+        EventKind kind;
+        std::uint32_t arg;
     };
+    static_assert(std::is_trivially_copyable_v<Event>);
 
-    struct Later
+    /** The (when, seq) total order: true if `a` fires before `b`. */
+    static bool
+    earlier(const Event &a, const Event &b)
     {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+        return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+    }
 
-    /** Move the earliest entry out of the heap. */
-    Entry popEntry();
+    /** Remove the root (earliest) event from the heap. */
+    void popFront();
 
     /**
-     * Binary min-heap over (when, seq), managed with std::push_heap /
-     * std::pop_heap rather than std::priority_queue: priority_queue
-     * only exposes a const top(), which forces a const_cast to move
-     * the callback out. pop_heap hands us the extracted entry as the
-     * mutable back element, so extraction needs no casts and the
-     * callback is moved, never copied.
+     * Binary min-heap over (when, seq). Sifts move a hole and write
+     * the sifted event once, instead of swapping at every level.
      */
-    std::vector<Entry> _heap;
+    std::vector<Event> _heap;
     Seconds _now = 0.0;
     std::uint64_t _seq = 0;
     std::uint64_t _processed = 0;

@@ -58,7 +58,6 @@ class MemoryBank
     {
         Request req = std::move(_queue.front());
         _queue.pop_front();
-        req.serveTime = now;
         _serviceStart = now;
         _serving = req;
         return req;
@@ -75,7 +74,6 @@ class MemoryBank
         _serving.reset();
         _blocked = true;
         _busyTime += now - _serviceStart;
-        req.readyTime = now;
         return req;
     }
 

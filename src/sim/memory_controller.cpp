@@ -44,7 +44,6 @@ MemoryController::drawServiceTime()
 void
 MemoryController::submit(Request req)
 {
-    req.controllerId = _id;
     const int bank_id = static_cast<int>(
         _rng.below(static_cast<std::uint64_t>(_banks.size())));
     req.bankId = bank_id;
@@ -79,9 +78,24 @@ MemoryController::tryStartBank(int bank_id)
     _counters.serviceSum += svc;
     ++_counters.serviceCount;
 
-    _queue.scheduleAfter(svc, [this, bank_id] {
-        onBankServiceDone(bank_id);
-    });
+    _queue.scheduleAfter(svc, *this, EventKind::BankDone,
+                         static_cast<std::uint32_t>(bank_id));
+}
+
+void
+MemoryController::onEvent(EventKind kind, std::uint32_t arg)
+{
+    switch (kind) {
+    case EventKind::BankDone:
+        onBankServiceDone(static_cast<int>(arg));
+        return;
+    case EventKind::TransferDone:
+        onTransferDone();
+        return;
+    default:
+        panic("MemoryController %d: unexpected event kind %d", _id,
+              static_cast<int>(kind));
+    }
 }
 
 void
@@ -104,7 +118,7 @@ MemoryController::tryStartBus()
     if (!_bus.canStart())
         return;
     _bus.startTransfer(_queue.now());
-    _queue.scheduleAfter(transferTime(), [this] { onTransferDone(); });
+    _queue.scheduleAfter(transferTime(), *this, EventKind::TransferDone);
 }
 
 void

@@ -78,8 +78,11 @@ struct ControllerCounters
 /**
  * One memory controller with `banksPerController` banks and one
  * shared data bus exhibiting transfer blocking.
+ *
+ * A controller schedules two event kinds on its queue: BankDone (the
+ * bank index is the event argument) and TransferDone.
  */
-class MemoryController
+class MemoryController final : public EventTarget
 {
   public:
     /** Callback type for completed demand reads (delivered lines). */
@@ -143,6 +146,8 @@ class MemoryController
     std::uint64_t inFlight() const { return _inFlight; }
 
   private:
+    /** Event dispatch (BankDone, TransferDone). */
+    void onEvent(EventKind kind, std::uint32_t arg) override;
     void tryStartBank(int bank_id);
     void onBankServiceDone(int bank_id);
     void tryStartBus();

@@ -68,9 +68,8 @@ ArgParser::assign(const std::string &name, const std::string &value)
 
     switch (opt.kind) {
       case Kind::Double: {
-        char *end = nullptr;
-        (void)std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0')
+        double parsed = 0.0;
+        if (!parseDouble(value, parsed))
             return false;
         break;
       }

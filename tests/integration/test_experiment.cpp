@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/fastcap_policy.hpp"
 #include "harness/experiment.hpp"
 #include "harness/peak_power.hpp"
@@ -188,6 +190,18 @@ TEST(Experiment, InvalidConfigsAreFatal)
                  FatalError);
     bad = quickConfig();
     bad.targetInstructions = 0.0;
+    EXPECT_THROW(ExperimentRunner(scfg, workloads::mix("ILP1", 4),
+                                  policy, bad),
+                 FatalError);
+    // NaN fails every comparison, so it must not slip past the
+    // range checks.
+    bad = quickConfig();
+    bad.budgetFraction = std::nan("");
+    EXPECT_THROW(ExperimentRunner(scfg, workloads::mix("ILP1", 4),
+                                  policy, bad),
+                 FatalError);
+    bad = quickConfig();
+    bad.targetInstructions = std::nan("");
     EXPECT_THROW(ExperimentRunner(scfg, workloads::mix("ILP1", 4),
                                   policy, bad),
                  FatalError);

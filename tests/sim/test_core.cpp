@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <vector>
 
 #include "sim/app_profile.hpp"
@@ -30,12 +32,22 @@ steadyApp(double mpki, double cpi = 1.0, double wpki = 0.0)
     return AppProfile("steady", p);
 }
 
-struct Fixture
+/**
+ * One core on its own queue. The fixture doubles as a test-local
+ * memory stand-in: with autoRespond() it answers every read after a
+ * fixed latency through an event scheduled on itself (constant
+ * latency keeps the answers in issue order).
+ */
+struct Fixture final : EventTarget
 {
     explicit Fixture(double mpki, double cpi = 1.0, double wpki = 0.0,
                      ExecMode mode = ExecMode::InOrder)
-        : cfg(SimConfig::defaultConfig(16)),
-          app(steadyApp(mpki, cpi, wpki))
+        : Fixture(steadyApp(mpki, cpi, wpki), mode)
+    {
+    }
+
+    Fixture(AppProfile profile, ExecMode mode)
+        : cfg(SimConfig::defaultConfig(16)), app(std::move(profile))
     {
         cfg.execMode = mode;
         cfg.thinkJitterSigma = 0.0; // deterministic think times
@@ -53,11 +65,28 @@ struct Fixture
         core->submitCallback([this, latency](Request r) {
             submitted.push_back(r);
             if (r.type == RequestType::Read) {
-                queue.scheduleAfter(latency, [this, r] {
-                    core->onDataReturn(r, queue.now());
-                });
+                inflight.push_back(r);
+                queue.scheduleAfter(latency, *this,
+                                    EventKind::TransferDone);
             }
         });
+    }
+
+    void
+    onEvent(EventKind, std::uint32_t) override
+    {
+        const Request r = inflight.front();
+        inflight.pop_front();
+        core->onDataReturn(r, queue.now());
+    }
+
+    std::uint64_t
+    reads() const
+    {
+        return static_cast<std::uint64_t>(std::count_if(
+            submitted.begin(), submitted.end(), [](const Request &r) {
+                return r.type == RequestType::Read;
+            }));
     }
 
     SimConfig cfg;
@@ -65,6 +94,7 @@ struct Fixture
     EventQueue queue;
     std::unique_ptr<Core> core;
     std::vector<Request> submitted;
+    std::deque<Request> inflight;
 };
 
 TEST(Core, RequiresAppAndSinkBeforeStart)
@@ -252,37 +282,36 @@ TEST(Core, PhaseChangeAltersMissRate)
     b.mpki = 50.0;
     phases.push_back(a);
     phases.push_back(b);
-    AppProfile app("phasey", phases);
-
-    SimConfig cfg = SimConfig::defaultConfig(16);
-    cfg.thinkJitterSigma = 0.0;
-    EventQueue q;
-    Core core(0, cfg, q, Rng(3));
-    core.runApp(&app);
-    std::uint64_t reads = 0;
-    core.submitCallback([&](Request r) {
-        if (r.type == RequestType::Read) {
-            ++reads;
-            q.scheduleAfter(1e-9, [&core, r, &q] {
-                core.onDataReturn(r, q.now());
-            });
-        }
-    });
-    core.start();
+    Fixture f(AppProfile("phasey", phases), ExecMode::InOrder);
+    f.autoRespond(1e-9);
+    f.core->start();
 
     // Run until well into phase b and compare instantaneous rates.
-    q.runUntil(30e-6); // ~phase a territory (50k instr ~ 12.5us+stall)
-    const std::uint64_t reads_a = reads;
-    const double instr_a = core.instructionsRetired();
-    q.runUntil(60e-6);
-    const std::uint64_t reads_b = reads - reads_a;
-    const double instr_b = core.instructionsRetired() - instr_a;
+    f.queue.runUntil(30e-6); // ~phase a (50k instr ~ 12.5us+stall)
+    const std::uint64_t reads_a = f.reads();
+    const double instr_a = f.core->instructionsRetired();
+    f.queue.runUntil(60e-6);
+    const std::uint64_t reads_b = f.reads() - reads_a;
+    const double instr_b = f.core->instructionsRetired() - instr_a;
     ASSERT_GT(instr_b, 0.0);
     const double mpki_a = 1000.0 * static_cast<double>(reads_a) /
         instr_a;
     const double mpki_b = 1000.0 * static_cast<double>(reads_b) /
         instr_b;
     EXPECT_GT(mpki_b, mpki_a) << "later window covers the dense phase";
+}
+
+TEST(Core, SecondPendingThinkPanics)
+{
+    // A core keeps one think payload, so it may never have two think
+    // events pending. Inject a duplicate ThinkDone ahead of the real
+    // one: the duplicate consumes the payload, and the real event
+    // then finds no think pending.
+    Fixture f(10.0);
+    f.core->start();
+    ASSERT_EQ(f.queue.pending(), 1u);
+    f.queue.schedule(0.0, *f.core, EventKind::ThinkDone);
+    EXPECT_THROW(f.queue.runUntil(10e-6), PanicError);
 }
 
 } // namespace

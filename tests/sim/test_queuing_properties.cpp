@@ -19,35 +19,45 @@
 namespace fastcap {
 namespace {
 
-/** Open-loop driver: Poisson-ish arrivals at a fixed rate. */
-struct OpenLoop
+/**
+ * Open-loop driver: Poisson-ish arrivals at a fixed rate. The driver
+ * is the arrivals' event target; each read carries its arrival index
+ * in coreId, so responses are measured against issue times recorded
+ * here.
+ */
+struct OpenLoop final : EventTarget
 {
     OpenLoop(double rate, SimConfig config, std::uint64_t seed = 9)
         : cfg(std::move(config)), ctrl(0, cfg, queue, Rng(seed)),
           rng(seed ^ 0xabcdef), arrivalGap(1.0 / rate)
     {
         ctrl.deliveryCallback([this](const Request &req, Seconds now) {
-            responses.push_back(now - req.issueTime);
+            responses.push_back(
+                now - issueTimes[static_cast<std::size_t>(req.coreId)]);
         });
     }
 
     void
-    run(Seconds duration, int core_id = 0)
+    run(Seconds duration)
     {
         const Seconds t_end = queue.now() + duration;
         Seconds t = queue.now();
         while (t < t_end) {
             t += rng.exponential(arrivalGap);
-            const Seconds when = t;
-            queue.schedule(when, [this, core_id, when] {
-                Request r;
-                r.type = RequestType::Read;
-                r.coreId = core_id;
-                r.issueTime = when;
-                ctrl.submit(std::move(r));
-            });
+            queue.schedule(t, *this, EventKind::L2Submit);
         }
         queue.runUntil(t_end);
+    }
+
+    /** An arrival is due: issue one read now. */
+    void
+    onEvent(EventKind, std::uint32_t) override
+    {
+        Request r;
+        r.type = RequestType::Read;
+        r.coreId = static_cast<int>(issueTimes.size());
+        issueTimes.push_back(queue.now());
+        ctrl.submit(r);
     }
 
     double
@@ -66,6 +76,7 @@ struct OpenLoop
     MemoryController ctrl;
     Rng rng;
     Seconds arrivalGap;
+    std::vector<Seconds> issueTimes;
     std::vector<Seconds> responses;
 };
 

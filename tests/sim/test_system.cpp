@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "sim/system.hpp"
 #include "util/logging.hpp"
 #include "workload/spec_table.hpp"
@@ -27,6 +30,33 @@ TEST(System, RejectsMismatchedAppCount)
     SimConfig cfg = smallConfig(4);
     std::vector<AppProfile> apps(3, workloads::spec("gcc"));
     EXPECT_THROW(ManyCoreSystem(cfg, apps), FatalError);
+}
+
+TEST(System, ConfigRejectsNaNAndNonFiniteL2Time)
+{
+    // `x <= 0` guards let NaN through; validate() must not.
+    const double nan = std::nan("");
+    SimConfig cfg = smallConfig();
+    cfg.epochLength = nan;
+    EXPECT_THROW(cfg.validate(), FatalError);
+
+    cfg = smallConfig();
+    cfg.busBurstCycles = nan;
+    EXPECT_THROW(cfg.validate(), FatalError);
+
+    cfg = smallConfig();
+    cfg.rowHitRate = nan;
+    EXPECT_THROW(cfg.validate(), FatalError);
+
+    cfg = smallConfig();
+    cfg.l2Time = nan;
+    EXPECT_THROW(cfg.validate(), FatalError);
+    cfg.l2Time = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(cfg.validate(), FatalError);
+    cfg.l2Time = -1e-9;
+    EXPECT_THROW(cfg.validate(), FatalError);
+    cfg.l2Time = 0.0;
+    EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(System, WindowProducesActivityOnAllCores)

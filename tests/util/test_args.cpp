@@ -93,6 +93,13 @@ TEST(Args, RejectsBadNumericValue)
     ArgParser args2 = makeParser();
     const char *argv2[] = {"prog", "--cores", "3.5"};
     EXPECT_FALSE(args2.parse(3, argv2));
+
+    // strtod parses these; a numeric option must not accept them.
+    for (const char *bad : {"nan", "inf", "-inf", "NaN", "infinity"}) {
+        ArgParser p = makeParser();
+        const char *argv3[] = {"prog", "--budget", bad};
+        EXPECT_FALSE(p.parse(3, argv3)) << bad;
+    }
 }
 
 TEST(Args, RejectsMissingValue)
