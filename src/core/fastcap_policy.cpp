@@ -64,10 +64,10 @@ mapToLadders(const PolicyInputs &inputs, const InnerSolution &sol,
 PolicyDecision
 FastCapPolicy::decide(const PolicyInputs &inputs)
 {
-    // The hint's bracket shrink is only sound against an unchanged
-    // budget; the comparison is exact, mirroring how the scenario
-    // engine re-issues bit-identical budgets between steps.
-    _opts.warmStart.sameBudget =
+    // A warm hit is a hinted solve against an unchanged budget; the
+    // comparison is exact, mirroring how the scenario engine
+    // re-issues bit-identical budgets between steps.
+    const bool warm_hit =
         _opts.warmStart.valid && inputs.budget == _lastBudget;
 
     FastCapSolver solver(inputs, _opts);
@@ -83,7 +83,7 @@ FastCapPolicy::decide(const PolicyInputs &inputs)
             .add(static_cast<std::uint64_t>(res.evaluations));
         reg.counter("/solver/iterations")
             .add(static_cast<std::uint64_t>(res.best.rootIterations));
-        if (_opts.warmStart.sameBudget)
+        if (warm_hit)
             reg.counter("/solver/warm_hits").add();
         reg.gauge("/solver/classes")
             .setMax(static_cast<double>(solver.numClasses()));
@@ -92,7 +92,6 @@ FastCapPolicy::decide(const PolicyInputs &inputs)
     // Remember this epoch's solution as the next epoch's warm start.
     _opts.warmStart.valid = true;
     _opts.warmStart.memIndex = res.memIndex;
-    _opts.warmStart.d = res.best.d;
     _lastBudget = inputs.budget;
 
     if (!res.best.budgetFeasible &&

@@ -117,7 +117,8 @@ makeSimBackend(SimConfig cfg, std::vector<AppProfile> apps,
             return std::make_unique<MonolithicBackend>(
                 std::move(cfg), std::move(apps));
         // Auto beyond the monolithic tier: one shard per 64 cores.
-        // The count only shapes scheduling granularity — results are
+        // Every lane runs on its own queue, so the count only sets
+        // how many lanes one pool task advances — results are
         // identical for any choice.
         const int auto_shards = (cfg.numCores + 63) / 64;
         return std::make_unique<ShardedSystem>(

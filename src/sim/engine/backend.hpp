@@ -10,10 +10,11 @@
  *     global event queue, shared memory controllers, full cross-core
  *     queueing contention. The faithful substrate for the paper-scale
  *     configurations (<= 64 cores).
- *   - the *sharded* engine (ShardedSystem): cores partitioned into K
- *     shards that advance independent event queues between window
- *     boundaries, built for routine 256/1024-core capping runs. See
- *     sharded_system.hpp for its modeling contract.
+ *   - the *sharded* engine (ShardedSystem): every core a lane with
+ *     its own event queue and memory lane, advanced independently
+ *     between window boundaries by K shard tasks, built for routine
+ *     256/1024-core capping runs. See sharded_system.hpp for its
+ *     modeling contract.
  *
  * The harness composes either engine into epochs; which one runs is
  * an ExperimentConfig knob (`shards`), not a code path choice.
@@ -46,7 +47,8 @@ struct EngineConfig
      * release), one shard per 64 cores above it. Any value >= 1
      * forces the sharded engine with min(shards, numCores) shards.
      * The sharded engine's output is byte-identical for every shard
-     * count — the knob trades scheduling granularity, not results.
+     * count — a shard is just the lane range one pool task runs, so
+     * the knob sets task granularity, not results.
      */
     int shards = 0;
 

@@ -80,44 +80,31 @@ ShardedSystem::ShardedSystem(SimConfig cfg,
     }
 
     const int k = std::clamp(shards, 1, n);
-    _shards.resize(static_cast<std::size_t>(k));
-    _shardOf.resize(static_cast<std::size_t>(n));
+    _shardBegin.reserve(static_cast<std::size_t>(k) + 1);
+    for (int s = 0; s <= k; ++s)
+        _shardBegin.push_back(s * (n / k) + std::min(s, n % k));
 
-    const int base = n / k;
-    const int rem = n % k;
-    int first = 0;
-    for (int s = 0; s < k; ++s) {
-        Shard &shard = _shards[static_cast<std::size_t>(s)];
-        const int count = base + (s < rem ? 1 : 0);
-        shard.firstCore = first;
-        shard.lanes.resize(static_cast<std::size_t>(count));
-        for (int j = 0; j < count; ++j) {
-            const int core_id = first + j;
-            _shardOf[static_cast<std::size_t>(core_id)] =
-                static_cast<std::uint32_t>(s);
-            Lane &ln = shard.lanes[static_cast<std::size_t>(j)];
-            const SimConfig &lane_cfg =
-                _laneCfgs[static_cast<std::size_t>(core_id % k_ctrl)];
-            ln.app = std::move(apps[static_cast<std::size_t>(core_id)]);
-            ln.controller = std::make_unique<MemoryController>(
-                core_id, lane_cfg, shard.queue,
-                laneRng(_cfg.seed, core_id, 1));
-            ln.core = std::make_unique<Core>(
-                core_id, lane_cfg, shard.queue,
-                laneRng(_cfg.seed, core_id, 0));
-            ln.core->runApp(&ln.app);
-            MemoryController *ctrl = ln.controller.get();
-            ln.core->submitCallback([ctrl](Request req) {
-                ctrl->submit(std::move(req));
+    _lanes.resize(static_cast<std::size_t>(n));
+    for (int core_id = 0; core_id < n; ++core_id) {
+        Lane &ln = _lanes[static_cast<std::size_t>(core_id)];
+        const SimConfig &lane_cfg =
+            _laneCfgs[static_cast<std::size_t>(core_id % k_ctrl)];
+        ln.app = std::move(apps[static_cast<std::size_t>(core_id)]);
+        ln.controller = std::make_unique<MemoryController>(
+            core_id, lane_cfg, ln.queue, laneRng(_cfg.seed, core_id, 1));
+        ln.core = std::make_unique<Core>(
+            core_id, lane_cfg, ln.queue, laneRng(_cfg.seed, core_id, 0));
+        ln.core->runApp(&ln.app);
+        MemoryController *ctrl = ln.controller.get();
+        ln.core->submitCallback([ctrl](Request req) {
+            ctrl->submit(std::move(req));
+        });
+        Core *core = ln.core.get();
+        ln.controller->deliveryCallback(
+            [core](const Request &req, Seconds at) {
+                core->onDataReturn(req, at);
             });
-            Core *core = ln.core.get();
-            ln.controller->deliveryCallback(
-                [core](const Request &req, Seconds at) {
-                    core->onDataReturn(req, at);
-                });
-            ln.core->start();
-        }
-        first += count;
+        ln.core->start();
     }
 
     // Logical-controller power models and access rows, mirroring the
@@ -152,25 +139,21 @@ ShardedSystem::shardWorkers() const
 std::pair<int, int>
 ShardedSystem::shardRange(int s) const
 {
-    const Shard &shard = _shards.at(static_cast<std::size_t>(s));
-    return {shard.firstCore, static_cast<int>(shard.lanes.size())};
+    const int first = _shardBegin.at(static_cast<std::size_t>(s));
+    return {first, _shardBegin.at(static_cast<std::size_t>(s) + 1) -
+                       first};
 }
 
 ShardedSystem::Lane &
 ShardedSystem::lane(int core)
 {
-    Shard &shard = _shards[_shardOf.at(static_cast<std::size_t>(core))];
-    return shard.lanes[static_cast<std::size_t>(core -
-                                                shard.firstCore)];
+    return _lanes.at(static_cast<std::size_t>(core));
 }
 
 const ShardedSystem::Lane &
 ShardedSystem::lane(int core) const
 {
-    const Shard &shard =
-        _shards[_shardOf.at(static_cast<std::size_t>(core))];
-    return shard.lanes[static_cast<std::size_t>(core -
-                                                shard.firstCore)];
+    return _lanes.at(static_cast<std::size_t>(core));
 }
 
 const AppProfile &
@@ -185,8 +168,8 @@ ShardedSystem::swapApp(int core, AppProfile app)
     // The core holds a stable pointer into its lane's app slot;
     // assigning the slot is the whole rebind (the next scheduled
     // think reads the new phases), exactly as on the monolithic
-    // engine. Safe across shards because it happens between windows,
-    // when no shard job is running.
+    // engine. Safe because it happens between windows, when no shard
+    // job is running.
     lane(core).app = std::move(app);
 }
 
@@ -213,9 +196,8 @@ ShardedSystem::memFreqIndex(std::size_t idx)
         panic("memFreqIndex: index %zu out of range", idx);
     _memFreqIndex = idx;
     const Hertz f = _cfg.memLadder.at(idx);
-    for (Shard &shard : _shards)
-        for (Lane &ln : shard.lanes)
-            ln.controller->busFrequency(f);
+    for (Lane &ln : _lanes)
+        ln.controller->busFrequency(f);
 }
 
 Hertz
@@ -233,14 +215,14 @@ ShardedSystem::maxFrequencies()
 }
 
 void
-ShardedSystem::runShardWindow(Shard &shard, Seconds t_end)
+ShardedSystem::runShardWindow(int s, Seconds t_end)
 {
-    for (Lane &ln : shard.lanes) {
+    const auto [first, count] = shardRange(s);
+    for (int i = first; i < first + count; ++i) {
+        Lane &ln = lane(i);
         ln.core->resetCounters();
         ln.controller->resetCounters();
-    }
-    shard.queue.runUntil(t_end);
-    for (Lane &ln : shard.lanes) {
+        ln.queue.runUntil(t_end);
         ln.core->flushStall(t_end);
         // Fold bank/bus busy time into the counters while still
         // inside the shard job; the merge below only reads.
@@ -257,17 +239,15 @@ ShardedSystem::runWindow(Seconds duration)
     const Seconds t_end = _now + duration;
 
     // Fan the shards out; pool.wait() is the window barrier. Shard
-    // jobs touch only their own shard's state, so any interleaving
-    // yields the same per-lane counters.
+    // jobs touch only their own lanes, so any interleaving yields the
+    // same per-lane counters.
     if (_pool) {
-        for (Shard &shard : _shards) {
-            Shard *sp = &shard;
-            _pool->submit([sp, t_end] { runShardWindow(*sp, t_end); });
-        }
+        for (int s = 0; s < numShards(); ++s)
+            _pool->submit([this, s, t_end] { runShardWindow(s, t_end); });
         _pool->wait();
     } else {
-        for (Shard &shard : _shards)
-            runShardWindow(shard, t_end);
+        for (int s = 0; s < numShards(); ++s)
+            runShardWindow(s, t_end);
     }
     _now = t_end;
 
@@ -350,11 +330,14 @@ ShardedSystem::runWindow(Seconds duration)
     if (telemetry::enabled()) {
         telemetry::Registry &reg = telemetry::Registry::global();
         reg.counter("/engine/windows").add();
-        for (std::size_t s = 0; s < _shards.size(); ++s) {
+        for (int s = 0; s < numShards(); ++s) {
+            const auto [first, count] = shardRange(s);
+            std::uint64_t events = 0;
+            for (int i = first; i < first + count; ++i)
+                events += lane(i).queue.processed();
             reg.gauge("/engine/shard/" + std::to_string(s) +
                       "/events")
-                .set(static_cast<double>(
-                    _shards[s].queue.processed()));
+                .set(static_cast<double>(events));
         }
     }
 
@@ -453,9 +436,8 @@ std::uint64_t
 ShardedSystem::memoryInFlight() const
 {
     std::uint64_t in_flight = 0;
-    for (const Shard &shard : _shards)
-        for (const Lane &ln : shard.lanes)
-            in_flight += ln.controller->inFlight();
+    for (const Lane &ln : _lanes)
+        in_flight += ln.controller->inFlight();
     return in_flight;
 }
 
@@ -463,8 +445,8 @@ std::uint64_t
 ShardedSystem::eventsProcessed() const
 {
     std::uint64_t processed = 0;
-    for (const Shard &shard : _shards)
-        processed += shard.queue.processed();
+    for (const Lane &ln : _lanes)
+        processed += ln.queue.processed();
     return processed;
 }
 

@@ -4,13 +4,15 @@
  *
  * The monolithic ManyCoreSystem advances every core through one
  * serial event queue, which caps experiment grids at ~64 cores. This
- * engine partitions the cores into K contiguous shards, each with its
- * own EventQueue, and advances the shards independently between
- * window boundaries; windows are the natural barriers because cores
- * only interact through the per-epoch policy decision the harness
- * applies between windows.
+ * engine gives every core a *lane* — the core, its private memory
+ * lane and its own EventQueue — and advances the lanes independently
+ * between window boundaries; windows are the natural barriers because
+ * cores only interact through the per-epoch policy decision the
+ * harness applies between windows. A shard is a contiguous range of
+ * lanes run one after another by one pool task; the shard count only
+ * sets task granularity.
  *
- * Modeling contract (the approximation that buys shard independence;
+ * Modeling contract (the approximation that buys lane independence;
  * docs/ARCHITECTURE.md "Simulation engine"):
  *
  *   - Each core owns a private *memory lane*: a MemoryController
@@ -18,15 +20,15 @@
  *     time scaled so the merged occupancy never exceeds the window)
  *     and at least one bank. Cross-core memory contention is
  *     represented by that bandwidth share instead of simulated
- *     queueing, so lanes — and therefore shards — share no mutable
- *     state. The first window uses the fair 1/laneCount share; every
- *     window barrier then re-divides each logical bus across its
- *     lanes in proportion to the lanes' measured demand (reads +
- *     writebacks) of the window just merged, floored at a tenth of
- *     the fair share, so skewed workloads stop over-throttling hot
- *     lanes. Weights are computed from merged per-lane counters on
- *     the calling thread and always sum to 1 per controller —
- *     determinism and the occupancy bound both survive re-division.
+ *     queueing, so lanes share no mutable state. The first window
+ *     uses the fair 1/laneCount share; every window barrier then
+ *     re-divides each logical bus across its lanes in proportion to
+ *     the lanes' measured demand (reads + writebacks) of the window
+ *     just merged, floored at a tenth of the fair share, so skewed
+ *     workloads stop over-throttling hot lanes. Weights are computed
+ *     from merged per-lane counters on the calling thread and always
+ *     sum to 1 per controller — determinism and the occupancy bound
+ *     both survive re-division.
  *   - Core i maps to *logical* controller (i mod numControllers).
  *     Window stats aggregate the lanes of a logical controller (in
  *     ascending core order) back into numControllers
@@ -35,14 +37,13 @@
  *     Skewed interleaving is not representable here (the engine warns
  *     and models the modulo mapping).
  *   - All randomness is per-lane, derived from (seed, core index)
- *     only. Event interleaving inside a shard never touches
- *     cross-lane state.
+ *     only, and each lane's events live on the lane's own queue.
  *
  * Determinism contract (enforced by tests/engine/): CSV/JSON output
  * of any experiment on this engine is byte-identical for every shard
- * count and every thread count. Shards are merged in fixed shard
- * order and per-core stats accumulate in original core-index order;
- * the thread pool only runs shard jobs, never the merge.
+ * count and every thread count. A lane fires the same event sequence
+ * whichever task runs it, per-core stats accumulate in core-index
+ * order, and the thread pool only runs shard jobs, never the merge.
  */
 
 #ifndef FASTCAP_SIM_ENGINE_SHARDED_SYSTEM_HPP
@@ -110,7 +111,10 @@ class ShardedSystem : public SimBackend
     std::uint64_t eventsProcessed() const override;
 
     // --- engine introspection (tests, benches) ----------------------
-    int numShards() const { return static_cast<int>(_shards.size()); }
+    int numShards() const
+    {
+        return static_cast<int>(_shardBegin.size()) - 1;
+    }
     /** Effective worker count shard jobs fan out over. */
     int shardWorkers() const;
     /** Core range [first, first + count) of shard s. */
@@ -118,30 +122,23 @@ class ShardedSystem : public SimBackend
 
   private:
     /**
-     * One core's private slice of the machine: the core, its memory
-     * lane, and the application slot the core's pointer refers to.
-     * Lane addresses are stable (the vectors never resize after
-     * construction).
+     * One core's private slice of the machine: the event queue that
+     * carries all of its events, the core, its memory lane, and the
+     * application slot the core's pointer refers to. Lane addresses
+     * are stable (the lane vector never resizes after construction).
      */
     struct Lane
     {
+        EventQueue queue;
         std::unique_ptr<Core> core;
         std::unique_ptr<MemoryController> controller;
         AppProfile app;
     };
 
-    /** A contiguous block of lanes advancing one event queue. */
-    struct Shard
-    {
-        int firstCore = 0;
-        EventQueue queue;
-        std::vector<Lane> lanes;
-    };
-
     Lane &lane(int core);
     const Lane &lane(int core) const;
-    /** Advance one shard to t_end and finalize its window counters. */
-    static void runShardWindow(Shard &shard, Seconds t_end);
+    /** Advance shard s's lanes to t_end, one after another. */
+    void runShardWindow(int s, Seconds t_end);
     /**
      * Re-divide every logical bus across its lanes from the demand
      * (reads + writebacks) the merged window measured. Runs on the
@@ -172,9 +169,10 @@ class ShardedSystem : public SimBackend
      */
     std::vector<double> _laneScale;
 
-    std::vector<Shard> _shards;
-    /** Core index -> owning shard, for O(1) lane lookup. */
-    std::vector<std::uint32_t> _shardOf;
+    /** Indexed by core id; sized once, so lane addresses are stable. */
+    std::vector<Lane> _lanes;
+    /** Shard s owns lanes [_shardBegin[s], _shardBegin[s + 1]). */
+    std::vector<int> _shardBegin;
     CorePowerModel _corePower;
     std::vector<MemoryPowerModel> _memPower; //!< per logical controller
     std::vector<std::vector<double>> _accessProbs; //!< one-hot rows

@@ -10,10 +10,11 @@
  *
  * Threading: a queue and every target scheduled on it belong to one
  * thread at a time. The monolithic engine runs one queue on the
- * calling thread; the sharded engine runs one queue per shard, each
- * advanced by a single pool worker between window barriers. Given
- * the same inputs a queue fires the same events in the same order,
- * which is what makes results reproducible (same seed, same output).
+ * calling thread; the sharded engine runs one queue per lane (a core
+ * and its memory lane), advanced by the pool worker that runs the
+ * lane's shard between window barriers. Given the same inputs a queue
+ * fires the same events in the same order, which is what makes
+ * results reproducible (same seed, same output).
  */
 
 #ifndef FASTCAP_SIM_EVENT_QUEUE_HPP

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/logging.hpp"
-
 namespace fastcap {
 
 namespace {
@@ -103,17 +101,6 @@ bisect(const std::function<double(double)> &f, double lo, double hi,
     res.iterations = 2;
     return bisectCore(f, lo, flo, hi, fhi, tol_x, tol_f, max_iter,
                       res);
-}
-
-RootResult
-bisectWithEndpoints(const std::function<double(double)> &f,
-                    double lo, double flo, double hi, double fhi,
-                    double tol_x, double tol_f, int max_iter)
-{
-    if (lo > hi)
-        fatal("bisectWithEndpoints: lo (%g) > hi (%g)", lo, hi);
-    return bisectCore(f, lo, flo, hi, fhi, tol_x, tol_f, max_iter,
-                      RootResult{});
 }
 
 RootResult

@@ -71,20 +71,6 @@ RootResult bisect(const std::function<double(double)> &f,
                   int max_iter = 200);
 
 /**
- * bisect() for callers that have already evaluated the bracket
- * endpoints (flo = f(lo), fhi = f(hi)): identical iterate sequence —
- * and therefore a bit-identical root — without re-evaluating them.
- * Requires lo <= hi. The returned `iterations` counts only the
- * midpoint evaluations made here; add your own endpoint cost.
- */
-RootResult bisectWithEndpoints(const std::function<double(double)> &f,
-                               double lo, double flo,
-                               double hi, double fhi,
-                               double tol_x = 1e-12,
-                               double tol_f = 1e-9,
-                               int max_iter = 200);
-
-/**
  * Solve f(x) = 0 for a *monotonically increasing* f on [lo, hi],
  * clamping to the endpoints when the root lies outside the bracket:
  * returns lo if f(lo) > 0, hi if f(hi) < 0. A clamped solve whose

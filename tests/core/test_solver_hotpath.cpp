@@ -206,29 +206,6 @@ TEST(SolverHotPath, AccurateWarmStartSkipsLevelProbes)
     EXPECT_LE(got.evaluations, want.evaluations);
 }
 
-TEST(SolverHotPath, BracketShrinkStaysWithinTolerance)
-{
-    // The opt-in bisection bracket shrink changes the midpoint
-    // lattice: the root may differ in its last ulps but must stay
-    // within the configured tolerance of the cold solve.
-    const PolicyInputs in = classedInputs(24, 3, 17);
-    FastCapSolver cold(in);
-    const SolveResult want = cold.solve();
-    ASSERT_TRUE(want.best.budgetFeasible);
-
-    SolverOptions opts;
-    opts.warmStart.valid = true;
-    opts.warmStart.memIndex = want.memIndex;
-    opts.warmStart.d = want.best.d;
-    opts.warmStart.sameBudget = true;
-    opts.warmStartShrinkBracket = true;
-    FastCapSolver warm(in, opts);
-    const SolveResult got = warm.solve();
-    EXPECT_EQ(got.memIndex, want.memIndex);
-    EXPECT_NEAR(got.best.d, want.best.d,
-                2e-6 * std::max(want.best.d, 1e-12));
-}
-
 TEST(SolverHotPath, SaturatedLowSurfacesInfeasibleBudget)
 {
     PolicyInputs in = classedInputs(16, 2, 3);

@@ -2,9 +2,9 @@
  * @file
  * Tests for the sharded simulation engine: shard partitioning, the
  * SimBackend factory's auto rule, window-stats shape and power
- * conservation against the monolithic engine, and the heart of the
- * contract — bit-identical window stats for every shard count and
- * thread count.
+ * conservation against the monolithic engine, lane isolation within
+ * a window, and the heart of the contract — bit-identical window
+ * stats and event counts for every shard count and thread count.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "engine_test_util.hpp"
+#include "sim/core.hpp"
 #include "sim/engine/backend.hpp"
 #include "sim/engine/sharded_system.hpp"
 #include "sim/system.hpp"
@@ -145,9 +146,10 @@ TEST(ShardedSystem, NameplatePeakMatchesMonolithicEngine)
 }
 
 /**
- * The determinism contract at the window level: every counter and
- * every power double is bit-identical across shard counts and thread
- * counts, through several windows with DVFS changes in between.
+ * The determinism contract at the window level: every counter, every
+ * power double and the total event count are bit-identical across
+ * shard counts (including one lane per shard) and thread counts,
+ * through several windows with DVFS changes in between.
  */
 TEST(ShardedSystem, WindowStatsBitIdenticalAcrossShardsAndThreads)
 {
@@ -166,7 +168,9 @@ TEST(ShardedSystem, WindowStatsBitIdenticalAcrossShardsAndThreads)
                     i, static_cast<std::size_t>((i + w) % 10));
             sys.memFreqIndex(static_cast<std::size_t>(9 - 2 * (w % 4)));
         }
-        log += std::to_string(sys.eventsProcessed() > 0);
+        // Every lane fires the same events whichever shard runs it,
+        // so the event count is layout-independent too.
+        log += std::to_string(sys.eventsProcessed());
         for (int i = 0; i < 32; ++i)
             enginetest::appendBits(log, sys.instructionsRetired(i));
         return log;
@@ -178,6 +182,54 @@ TEST(ShardedSystem, WindowStatsBitIdenticalAcrossShardsAndThreads)
              {1, 8}, {4, 1}, {4, 8}, {16, 1}, {16, 8}, {32, 3}}) {
         EXPECT_EQ(reference, run(shards, threads))
             << "shards=" << shards << " threads=" << threads;
+    }
+}
+
+/** Bit-exact rendering of one core's window counters. */
+std::string
+counterBits(const CoreCounters &c)
+{
+    std::string s;
+    enginetest::appendUint(s, c.instructions);
+    enginetest::appendUint(s, c.misses);
+    enginetest::appendUint(s, c.writebacks);
+    enginetest::appendUint(s, c.stalls);
+    enginetest::appendUint(s, c.returns);
+    enginetest::appendBits(s, c.busyTime);
+    enginetest::appendBits(s, c.stallTime);
+    return s;
+}
+
+/**
+ * Lanes share no mutable state within a window: slowing one core
+ * leaves every other lane's first-window counters bit-identical.
+ * Only the first window is compared — from the second on, bandwidth
+ * re-division legitimately couples the lanes of one logical
+ * controller through their measured demand.
+ */
+TEST(ShardedSystem, SlowingOneLaneLeavesOtherLanesBitIdentical)
+{
+    const SimConfig cfg = config(128);
+    const auto first_window = [&](bool slow_core5) {
+        ShardedSystem sys(cfg, workloads::mix("MIX1", 128), 2, 1);
+        sys.maxFrequencies();
+        if (slow_core5)
+            sys.coreFreqIndex(5, 0);
+        return sys.runWindow(cfg.profileWindow);
+    };
+    const WindowStats base = first_window(false);
+    const WindowStats slowed = first_window(true);
+    ASSERT_EQ(base.cores.size(), 128u);
+    ASSERT_EQ(slowed.cores.size(), 128u);
+    EXPECT_NE(counterBits(base.cores[5].counters),
+              counterBits(slowed.cores[5].counters))
+        << "the slowed core itself must change";
+    for (std::size_t i = 0; i < 128; ++i) {
+        if (i == 5)
+            continue;
+        EXPECT_EQ(counterBits(base.cores[i].counters),
+                  counterBits(slowed.cores[i].counters))
+            << "core " << i;
     }
 }
 

@@ -1,10 +1,12 @@
 # Golden-output runner for the fastcap_sim modes no sweep golden
 # covers: idealized out-of-order cores, skewed interleave over four
-# controllers, and the sharded engine forced on at 64 cores. Each run
+# controllers, and the sharded engine forced on at 64 cores, with
+# in-order cores and with out-of-order cores over four controllers
+# (several L2 submits pending per lane). Each run
 # crosses a 0.9 -> 0.5 budget step and byte-compares the full stdout
 # (summary plus --epoch-csv rows) against the committed reference.
 #
-#   cmake -DSIM=<fastcap_sim> -DMODE=ooo|skew|sharded
+#   cmake -DSIM=<fastcap_sim> -DMODE=ooo|skew|sharded|sharded_ooo
 #         -DGOLDEN=<reference.txt> -DOUT=<scratch.txt>
 #         -P run_sim_golden.cmake
 #
@@ -25,6 +27,8 @@ elseif(MODE STREQUAL "skew")
   set(mode_args --controllers 4 --skew 0.5)
 elseif(MODE STREQUAL "sharded")
   set(mode_args --shards 4 --shard-threads 2)
+elseif(MODE STREQUAL "sharded_ooo")
+  set(mode_args --ooo --controllers 4 --shards 8 --shard-threads 2)
 else()
   message(FATAL_ERROR "run_sim_golden.cmake: unknown MODE '${MODE}'")
 endif()

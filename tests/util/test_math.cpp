@@ -148,21 +148,6 @@ TEST(SolveMonotone, InteriorRootIsNotSaturated)
     EXPECT_NEAR(r.x, 4.0, 1e-8);
 }
 
-TEST(BisectWithEndpoints, MatchesBisectBitForBit)
-{
-    const auto f = [](double x) { return std::cos(x) - x; };
-    const double lo = 0.0, hi = 2.0;
-    const RootResult plain = bisect(f, lo, hi, 1e-14, 1e-15);
-    const RootResult seeded = bisectWithEndpoints(
-        f, lo, f(lo), hi, f(hi), 1e-14, 1e-15);
-    EXPECT_EQ(plain.x, seeded.x)
-        << "identical iterate sequence, identical bits";
-    EXPECT_EQ(plain.fx, seeded.fx);
-    EXPECT_EQ(plain.converged, seeded.converged);
-    // Only the endpoint evaluations differ in the accounting.
-    EXPECT_EQ(plain.iterations, seeded.iterations + 2);
-}
-
 TEST(FitLinear, ExactTwoPointFit)
 {
     const std::vector<double> xs{1.0, 3.0};
