@@ -5,7 +5,11 @@
  * plus the raw window-simulation pair the perf-smoke CI job gates on
  * (BM_SimWindow vs BM_SimWindowReference — the monolithic engine on
  * the same configuration, so the speedup ratio is machine-portable
- * just like the solver's optimised-vs-reference pairs).
+ * just like the solver's optimised-vs-reference pairs), and the
+ * paper's 64-core configuration on the monolithic engine alone
+ * (BM_SimWindowMonolithic): a ratio cannot see a DES regression that
+ * slows both engines, so that entry's windows/sec is the event
+ * core's own throughput.
  *
  * Every benchmark reports items_per_second as *epochs (or windows)
  * per second*; tools/check_overhead.py tracks those throughputs
@@ -82,6 +86,28 @@ BM_SimWindowReference(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimWindowReference)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * The paper's configuration: 64 cores of Table III MIX3 sharing their
+ * memory controllers on the monolithic engine, one profiling window
+ * at max frequencies. Nearly all of it is the event queue and the
+ * core and memory-controller handlers.
+ */
+void
+BM_SimWindowMonolithic(benchmark::State &state)
+{
+    const int cores = static_cast<int>(state.range(0));
+    const SimConfig cfg = benchConfig(cores);
+    ManyCoreSystem sys(cfg, workloads::mix("MIX3", cores));
+    sys.maxFrequencies();
+    for (auto _ : state) {
+        WindowStats w = sys.runWindow(cfg.profileWindow);
+        benchmark::DoNotOptimize(w);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimWindowMonolithic)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 /**

@@ -115,7 +115,7 @@ Core::onThinkDone()
     // Demand read: traverses the shared L2 (constant-latency separate
     // voltage domain), then the memory subsystem.
     ++_outstanding;
-    _queue.scheduleAfter(_cfg.l2Time, *this, EventKind::L2Submit);
+    _queue.scheduleFixed(_cfg.l2Time, *this, EventKind::L2Submit);
 
     if (_outstanding >= maxOutstanding(phase)) {
         // In-order cores always block here; OoO cores block only when

@@ -1,6 +1,7 @@
 #include "sim/engine/sharded_system.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "sim/core.hpp"
@@ -233,8 +234,9 @@ ShardedSystem::runShardWindow(int s, Seconds t_end)
 WindowStats
 ShardedSystem::runWindow(Seconds duration)
 {
-    if (duration <= 0.0)
-        fatal("runWindow: non-positive duration");
+    if (!(duration > 0.0) || !std::isfinite(duration))
+        fatal("runWindow: duration must be positive and finite (%g)",
+              duration);
 
     const Seconds t_end = _now + duration;
 

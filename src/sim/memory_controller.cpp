@@ -78,7 +78,7 @@ MemoryController::tryStartBank(int bank_id)
     _counters.serviceSum += svc;
     ++_counters.serviceCount;
 
-    _queue.scheduleAfter(svc, *this, EventKind::BankDone,
+    _queue.scheduleFixed(svc, *this, EventKind::BankDone,
                          static_cast<std::uint32_t>(bank_id));
 }
 
@@ -118,7 +118,7 @@ MemoryController::tryStartBus()
     if (!_bus.canStart())
         return;
     _bus.startTransfer(_queue.now());
-    _queue.scheduleAfter(transferTime(), *this, EventKind::TransferDone);
+    _queue.scheduleFixed(transferTime(), *this, EventKind::TransferDone);
 }
 
 void

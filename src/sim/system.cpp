@@ -1,5 +1,6 @@
 #include "sim/system.hpp"
 
+#include <cmath>
 #include <numeric>
 #include <utility>
 
@@ -166,8 +167,9 @@ ManyCoreSystem::maxFrequencies()
 WindowStats
 ManyCoreSystem::runWindow(Seconds duration)
 {
-    if (duration <= 0.0)
-        fatal("runWindow: non-positive duration");
+    if (!(duration > 0.0) || !std::isfinite(duration))
+        fatal("runWindow: duration must be positive and finite (%g)",
+              duration);
 
     // Reset window accumulators.
     for (auto &core : _cores)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -249,6 +251,16 @@ TEST(ShardedSystem, SwapAppRebindsAcrossShardBoundaries)
     const double instr_before = sys.instructionsRetired(5);
     sys.runWindow(cfg.profileWindow);
     EXPECT_GT(sys.instructionsRetired(5), instr_before);
+}
+
+TEST(ShardedSystem, RunWindowRejectsNonPositiveAndNonFiniteDuration)
+{
+    const SimConfig cfg = config(8);
+    ShardedSystem sys(cfg, workloads::mix("MIX1", 8), 2, 1);
+    for (double d : {0.0, -1e-6, std::nan(""),
+                     std::numeric_limits<double>::infinity()})
+        EXPECT_THROW(sys.runWindow(d), FatalError) << d;
+    EXPECT_DOUBLE_EQ(sys.now(), 0.0);
 }
 
 TEST(ShardedSystem, SkewedInterleaveFallsBackToModuloMapping)

@@ -59,6 +59,17 @@ TEST(System, ConfigRejectsNaNAndNonFiniteL2Time)
     EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(System, RunWindowRejectsNonPositiveAndNonFiniteDuration)
+{
+    // A `duration <= 0` guard lets NaN through, and a NaN window
+    // returned NaN power; +inf would never return.
+    ManyCoreSystem sys(smallConfig(), workloads::mix("MIX1", 4));
+    for (double d : {0.0, -1e-6, std::nan(""),
+                     std::numeric_limits<double>::infinity()})
+        EXPECT_THROW(sys.runWindow(d), FatalError) << d;
+    EXPECT_DOUBLE_EQ(sys.now(), 0.0);
+}
+
 TEST(System, WindowProducesActivityOnAllCores)
 {
     SimConfig cfg = smallConfig(4);
