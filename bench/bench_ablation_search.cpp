@@ -11,6 +11,7 @@
 #include "bench_inputs.hpp"
 #include "common.hpp"
 #include "core/solver.hpp"
+#include "solver_oracle.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
@@ -44,10 +45,7 @@ main()
 
                 FastCapSolver fast(in);
                 const SolveResult rf = fast.solve();
-                SolverOptions exhaustive;
-                exhaustive.exhaustiveMemSearch = true;
-                FastCapSolver full(in, exhaustive);
-                const SolveResult rx = full.solve();
+                const SolveResult rx = oracle::exhaustiveSolve(in);
 
                 evals_fast += rf.evaluations;
                 evals_full += rx.evaluations;

@@ -30,12 +30,12 @@
 #include <vector>
 
 #include "util/logging.hpp"
-#include "util/math.hpp"
 
 #include "bench_inputs.hpp"
 #include "core/fastcap_policy.hpp"
 #include "core/model_fitter.hpp"
 #include "core/solver.hpp"
+#include "solver_oracle.hpp"
 #include "telemetry/registry.hpp"
 
 using namespace fastcap;
@@ -59,20 +59,24 @@ BENCHMARK(BM_EpochDecision)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMicrosecond);
 
 /**
- * Cold solve (no warm-start carry-over between iterations) on the
- * optimised hot path: a fresh solver per epoch, as a governor
- * restarted every epoch would pay.
+ * Cold solve (no warm-start carry-over between iterations): a fresh
+ * solver per epoch, as a governor restarted every epoch would pay —
+ * on the optimised hot path, or on the per-core reference solver of
+ * the validation oracles (the same Algorithm 1 search).
  */
 void
 solveScaling(benchmark::State &state, const PolicyInputs &in,
              bool reference)
 {
-    SolverOptions opts;
-    opts.referenceImpl = reference;
     for (auto _ : state) {
-        FastCapSolver solver(in, opts);
-        SolveResult res = solver.solve();
-        benchmark::DoNotOptimize(res);
+        if (reference) {
+            SolveResult res = oracle::referenceSolve(in);
+            benchmark::DoNotOptimize(res);
+        } else {
+            FastCapSolver solver(in);
+            SolveResult res = solver.solve();
+            benchmark::DoNotOptimize(res);
+        }
     }
 }
 
@@ -195,8 +199,8 @@ BENCHMARK(BM_ModelRefit)->Arg(16)->Arg(64)->Arg(1024)
 
 /**
  * The pre-incremental refit as the comparison baseline: a
- * from-scratch log-log fitPowerLaw over the 3-deep history on every
- * observation — what each epoch paid per core before the tracker
+ * from-scratch log-log oracle::fitPowerLaw over the 3-deep history on
+ * every observation — what each epoch paid per core before the tracker
  * kept running moments. The BM_ModelRefit/BM_ModelRefitReference
  * ratio is the non-solver epoch-overhead drop the perf-smoke job
  * tracks.
@@ -239,7 +243,7 @@ BM_ModelRefitReference(benchmark::State &state)
                 xs.push_back(s.first);
                 ys.push_back(s.second);
             }
-            const PowerLawFit fit = fitPowerLaw(xs, ys);
+            const oracle::PowerLawFit fit = oracle::fitPowerLaw(xs, ys);
             model.scale = fit.scale;
             model.exponent = std::clamp(fit.exponent, 0.3, 4.0);
         }

@@ -104,7 +104,6 @@ Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
     ecfg.targetInstructions = 1e18;
     ecfg.maxEpochs = _cfg.maxEpochs + 1;
     ecfg.peakPowerOverride = _machinePeak;
-    ecfg.solver = _cfg.solver;
     ecfg.shards = _cfg.shards;
     ecfg.shardThreads = _cfg.shardThreads;
 
@@ -116,7 +115,7 @@ Cluster::Cluster(ClusterConfig cfg) : _cfg(std::move(cfg))
                              static_cast<std::uint64_t>(i));
         ecfg.tracer = _cfg.tracer;
         ecfg.machineIndex = i;
-        mc->policy = makePolicy(_cfg.policy, _cfg.solver);
+        mc->policy = makePolicy(_cfg.policy);
         mc->runner = std::make_unique<ExperimentRunner>(
             sc, workloads::mix(_cfg.workload, sc.numCores),
             *mc->policy, ecfg);

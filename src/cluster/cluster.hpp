@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "core/solver.hpp"
 #include "harness/experiment.hpp"
 #include "scenario/budget_schedule.hpp"
 #include "sim/config.hpp"
@@ -83,7 +82,6 @@ struct ClusterConfig
     int shardThreads = 1;
     /** Arbiter floor: guaranteed share of peak per live machine. */
     double floorFraction = 0.05;
-    SolverOptions solver;
     std::vector<MachineFailure> failures;
     std::uint64_t seed = 0x5eedf00dULL;
     /**

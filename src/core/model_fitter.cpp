@@ -85,7 +85,7 @@ PowerLawTracker::refit()
     }
 
     // O(1) log-log least squares from the running moments: the same
-    // normal equations fitPowerLaw solves, with centered statistics
+    // normal equations the batch fit solves, with centered statistics
     // recovered from the raw sums instead of a two-pass sweep.
     const double n = static_cast<double>(_history.size());
     const double mx = _sumLx / n;

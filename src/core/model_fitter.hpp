@@ -61,7 +61,7 @@ class PowerLawTracker
      * refreshed sample's old ones), so the per-observation cost is a
      * couple of std::log calls and O(1) arithmetic — no from-scratch
      * refit over the history. The recovered parameters agree with a
-     * batch fitPowerLaw over the same history to rounding (enforced
+     * batch log-log fit over the same history to rounding (enforced
      * by a tolerance test), not bit-exactly: the moment accumulation
      * order differs from the batch two-pass formula.
      */

@@ -22,17 +22,12 @@ FastCapSolver::FastCapSolver(const PolicyInputs &inputs,
     if (_in.budget <= 0.0)
         fatal("FastCapSolver: non-positive budget");
 
-    _minTurnaround.reserve(_in.cores.size());
-    for (std::size_t i = 0; i < _in.cores.size(); ++i)
-        _minTurnaround.push_back(_queuing.minTurnaround(i));
-
     // Same summation order as PolicyInputs::staticPower(), so the
     // hoisted constant is bit-identical to a fresh evaluation.
     _staticPower = _in.staticPower();
     _minCoreRatio = _in.minCoreRatio();
 
-    if (!_opts.referenceImpl)
-        buildClasses();
+    buildClasses();
 }
 
 void
@@ -63,7 +58,7 @@ FastCapSolver::buildClasses()
             key, static_cast<std::uint32_t>(_classRep.size()));
         if (inserted) {
             _classRep.push_back(i);
-            _classMinT.push_back(_minTurnaround[i]);
+            _classMinT.push_back(_queuing.minTurnaround(i));
             _classCache.push_back(c.cache);
             _classZbar.push_back(c.zbar);
             _classPi.push_back(c.pi);
@@ -77,85 +72,6 @@ FastCapSolver::buildClasses()
     _classR.resize(k);
     _classRatio.resize(k);
     _classPowTerm.resize(k);
-}
-
-Watts
-FastCapSolver::power(const std::vector<double> &core_ratios,
-                     double x_b) const
-{
-    Watts p = _in.staticPower();
-    for (std::size_t i = 0; i < _in.cores.size(); ++i) {
-        const CoreModel &c = _in.cores[i];
-        p += c.pi * std::pow(core_ratios[i], c.alpha);
-    }
-    p += _in.memory.pm * std::pow(x_b, _in.memory.beta);
-    return p;
-}
-
-// --- Per-core reference implementation (pre-hot-path) --------------
-
-double
-FastCapSolver::maxD(const std::vector<Seconds> &r_at_xb) const
-{
-    // D may rise until the fastest-constrained core hits z_i = z̄_i
-    // (constraint 7): D <= T̄_i / (z̄_i + c_i + R_i(x_b)).
-    double d_max = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < _in.cores.size(); ++i) {
-        const CoreModel &c = _in.cores[i];
-        const double bound =
-            _minTurnaround[i] / (c.zbar + c.cache + r_at_xb[i]);
-        d_max = std::min(d_max, bound);
-    }
-    return d_max;
-}
-
-double
-FastCapSolver::coreRatioAtD(std::size_t i, double d,
-                            const std::vector<Seconds> &r_at_xb) const
-{
-    const CoreModel &c = _in.cores[i];
-    // Eq. 8: z_i = T̄_i / D - c_i - R_i(x_b).
-    const Seconds z = _minTurnaround[i] / d - c.cache - r_at_xb[i];
-    if (z <= c.zbar) {
-        // At or beyond the top of the ladder (D near maxD).
-        return 1.0;
-    }
-    // Frequency-ladder floor: cores that would need to run below
-    // f_min are pinned there; their power saturates, which preserves
-    // monotonicity of power in D.
-    return std::max(c.zbar / z, _in.minCoreRatio());
-}
-
-Watts
-FastCapSolver::powerAtD(double d, double x_b,
-                        const std::vector<Seconds> &r_at_xb,
-                        std::vector<double> *ratios_out) const
-{
-    Watts p = _in.staticPower() +
-        _in.memory.pm * std::pow(x_b, _in.memory.beta);
-
-    for (std::size_t i = 0; i < _in.cores.size(); ++i) {
-        const CoreModel &c = _in.cores[i];
-        const double x = coreRatioAtD(i, d, r_at_xb);
-        p += c.pi * std::pow(x, c.alpha);
-        if (ratios_out)
-            (*ratios_out)[i] = x;
-    }
-    return p;
-}
-
-Watts
-FastCapSolver::socketPowerAtD(const SocketBudget &socket, double d,
-                              const std::vector<Seconds> &r_at_xb) const
-{
-    Watts p = 0.0;
-    const std::size_t end = socket.firstCore + socket.numCores;
-    for (std::size_t i = socket.firstCore; i < end; ++i) {
-        const CoreModel &c = _in.cores[i];
-        const double x = coreRatioAtD(i, d, r_at_xb);
-        p += c.pi * std::pow(x, c.alpha) + c.pStatic;
-    }
-    return p;
 }
 
 // --- Equivalence-class hot path ------------------------------------
@@ -253,7 +169,7 @@ FastCapSolver::classSocketPowerAtD(std::size_t socket_idx,
 {
     classTermsAtDFor(d, socketClasses(socket_idx));
     // Per-core accumulation in original index order, exactly as the
-    // reference socketPowerAtD sums — the partition above only limits
+    // per-core reference sums — the partition above only limits
     // which pow terms get (re)computed, never the addition sequence.
     Watts p = 0.0;
     const std::size_t end = socket.firstCore + socket.numCores;
@@ -280,69 +196,6 @@ applySaturation(InnerSolution &sol, const RootResult &binding)
 
 InnerSolution
 FastCapSolver::solveAtMemRatio(double x_b)
-{
-    if (_opts.referenceImpl)
-        return referenceSolveAtMemRatio(x_b);
-    return classSolveAtMemRatio(x_b);
-}
-
-InnerSolution
-FastCapSolver::referenceSolveAtMemRatio(double x_b)
-{
-    ++_evaluations;
-
-    std::vector<Seconds> r_at_xb(_in.cores.size());
-    for (std::size_t i = 0; i < _in.cores.size(); ++i)
-        r_at_xb[i] = _queuing.responseTime(i, x_b);
-
-    const double d_hi = maxD(r_at_xb);
-    // Below d_lo every core is pinned at f_min and power is constant;
-    // the root (if any) lies above it.
-    const double d_lo = d_hi * 1e-4;
-
-    const auto residual = [&](double d) {
-        return powerAtD(d, x_b, r_at_xb, nullptr) - _in.budget;
-    };
-
-    const RootResult root = solveMonotone(
-        residual, d_lo, d_hi, d_hi * _opts.dTolerance,
-        _in.budget * 1e-9, 200);
-
-    // Per-processor constraints (6'): each socket's own monotone
-    // solve bounds D as well; the system runs at the tightest one so
-    // degradation stays equal across all applications.
-    InnerSolution sol;
-    sol.d = root.x;
-    sol.rootIterations = root.iterations;
-    applySaturation(sol, root);
-    for (const SocketBudget &socket : _opts.socketBudgets) {
-        if (socket.numCores == 0 ||
-            socket.firstCore + socket.numCores > _in.cores.size())
-            fatal("FastCapSolver: socket budget range [%zu, %zu) out "
-                  "of bounds", socket.firstCore,
-                  socket.firstCore + socket.numCores);
-        const auto socket_residual = [&](double d) {
-            return socketPowerAtD(socket, d, r_at_xb) - socket.budget;
-        };
-        const RootResult socket_root = solveMonotone(
-            socket_residual, d_lo, d_hi, d_hi * _opts.dTolerance,
-            std::max(socket.budget, 1.0) * 1e-9, 200);
-        sol.rootIterations += socket_root.iterations;
-        if (socket_root.x < sol.d) {
-            sol.d = socket_root.x;
-            applySaturation(sol, socket_root);
-        }
-    }
-
-    sol.memRatio = x_b;
-    sol.coreRatios.assign(_in.cores.size(), 1.0);
-    sol.predictedPower = powerAtD(sol.d, x_b, r_at_xb, &sol.coreRatios);
-    finishSolution(sol, &r_at_xb);
-    return sol;
-}
-
-InnerSolution
-FastCapSolver::classSolveAtMemRatio(double x_b)
 {
     ++_evaluations;
 
@@ -395,13 +248,12 @@ FastCapSolver::classSolveAtMemRatio(double x_b)
         sol.coreRatios[i] = _classRatio[c];
     }
     sol.predictedPower = p;
-    finishSolution(sol, nullptr);
+    finishSolution(sol);
     return sol;
 }
 
 void
-FastCapSolver::finishSolution(InnerSolution &sol,
-                              const std::vector<Seconds> *r_at_xb) const
+FastCapSolver::finishSolution(InnerSolution &sol) const
 {
     // Tolerance matches the bisection's, so a solution sitting right
     // on the budget is not misreported as infeasible.
@@ -409,10 +261,8 @@ FastCapSolver::finishSolution(InnerSolution &sol,
         sol.predictedPower <= _in.budget * (1.0 + 1e-3);
     for (std::size_t s = 0; s < _opts.socketBudgets.size(); ++s) {
         const SocketBudget &socket = _opts.socketBudgets[s];
-        const Watts sp = r_at_xb
-            ? socketPowerAtD(socket, sol.d, *r_at_xb)
-            : classSocketPowerAtD(s, socket, sol.d);
-        if (sp > socket.budget * (1.0 + 1e-3))
+        if (classSocketPowerAtD(s, socket, sol.d) >
+            socket.budget * (1.0 + 1e-3))
             sol.budgetFeasible = false;
     }
     if (!sol.budgetFeasible) {
@@ -450,9 +300,9 @@ FastCapSolver::solve()
              "of the ladder, outside the queuing model's validity "
              "domain", _opts.maxBusUtilisation);
 
-    if (_opts.exhaustiveMemSearch || m - floor_idx <= 3) {
-        // Reference path: scan every admissible memory level (used by
-        // the ablation bench to validate the binary search).
+    if (m - floor_idx <= 3) {
+        // Small admissible ladder: scanning every level costs no more
+        // than the binary search's probes.
         InnerSolution best;
         std::size_t best_idx = floor_idx;
         bool first = true;

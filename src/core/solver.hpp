@@ -32,10 +32,11 @@
  * the per-core work left in the inner loop is a table lookup and an
  * add, kept in original core order so the accumulated power — and
  * therefore every bisection iterate and the final SolveResult — is
- * bit-identical to the per-core reference path
- * (SolverOptions::referenceImpl). Homogeneous mixes collapse to one
- * class, making the solve O(#classes log M) instead of O(N log M)
- * in transcendental work.
+ * bit-identical to the historical per-core solve. That solve, the
+ * exhaustive memory scan and the batch model fits live in the test
+ * and bench oracle library (tests/support/solver_oracle.hpp), not
+ * here. Homogeneous mixes collapse to one class, making the solve
+ * O(#classes log M) instead of O(N log M) in transcendental work.
  */
 
 #ifndef FASTCAP_CORE_SOLVER_HPP
@@ -73,8 +74,8 @@ struct InnerSolution
      */
     bool saturatedLow = false;
     /**
-     * The binding root solve clamped at maxD: the budget exceeds
-     * what this memory level can spend even at full throttle.
+     * The binding root solve clamped at the D ceiling: the budget
+     * exceeds what this memory level can spend even at full throttle.
      */
     bool saturatedHigh = false;
     /** Function evaluations the root solves consumed. */
@@ -129,17 +130,6 @@ struct SolverOptions
 {
     /** Bisection tolerance on D (relative). */
     double dTolerance = 1e-6;
-    /** Scan all M memory levels instead of binary search. */
-    bool exhaustiveMemSearch = false;
-    /**
-     * Disable the structure-of-arrays / equivalence-class hot path
-     * and run the historical per-core implementation (one pow and
-     * one queuing evaluation per core per probe, fresh vectors per
-     * call). The results are bit-identical either way — enforced by
-     * the solver fuzz suite — so this exists as the cross-check
-     * reference and as the perf baseline for bench_overhead.
-     */
-    bool referenceImpl = false;
     /**
      * Highest predicted bus utilisation the memory search may visit
      * (Eq. 1's validity domain; see minMemIndexForUtilisation).
@@ -186,13 +176,6 @@ class FastCapSolver
      */
     InnerSolution solveAtMemRatio(double x_b);
 
-    /**
-     * Model power at an explicit operating point — Eq. 6's left-hand
-     * side. Used by baseline policies sharing the power model.
-     */
-    Watts power(const std::vector<double> &core_ratios,
-                double x_b) const;
-
     /** Inner-solve evaluations since construction. */
     int evaluations() const { return _evaluations; }
 
@@ -202,26 +185,10 @@ class FastCapSolver
     const QueuingModel &queuing() const { return _queuing; }
 
   private:
-    /** Power as a function of D at fixed x_b (monotone increasing). */
-    Watts powerAtD(double d, double x_b,
-                   const std::vector<Seconds> &r_at_xb,
-                   std::vector<double> *ratios_out) const;
-
-    /** Core-ratio x_i implied by D at fixed x_b (Eq. 8 + clamps). */
-    double coreRatioAtD(std::size_t core, double d,
-                        const std::vector<Seconds> &r_at_xb) const;
-
-    /** Total power (dynamic + static) of one socket's cores at D. */
-    Watts socketPowerAtD(const SocketBudget &socket, double d,
-                         const std::vector<Seconds> &r_at_xb) const;
-
-    /** Largest feasible D at x_b (all constraints 7 satisfied). */
-    double maxD(const std::vector<Seconds> &r_at_xb) const;
-
     // --- Equivalence-class hot path -------------------------------
-    // Per-class mirrors of the per-core quantities above. The class
-    // scratch is sized once at construction; per-probe state lives in
-    // mutable members so the inner loop performs no allocation.
+    // The class scratch is sized once at construction; per-probe
+    // state lives in mutable members so the inner loop performs no
+    // allocation.
 
     /** Group cores into classes; fill the SoA scratch. */
     void buildClasses();
@@ -234,7 +201,7 @@ class FastCapSolver
      * scratch. The single definition of the per-class arithmetic:
      * both the full and the subset recompute call it, so their
      * entries are bit-equal by construction (the arithmetic mirrors
-     * coreRatioAtD()/powerAtD() exactly, one pow per call).
+     * the per-core reference exactly, one pow per call).
      */
     void classTermAt(double d, std::uint32_t c) const;
 
@@ -261,17 +228,13 @@ class FastCapSolver
                               const SocketBudget &socket,
                               double d) const;
     double classMaxD() const;
-    InnerSolution classSolveAtMemRatio(double x_b);
-    InnerSolution referenceSolveAtMemRatio(double x_b);
 
     /** Shared tail: feasibility + infeasibility penalty ordering. */
-    void finishSolution(InnerSolution &sol,
-                        const std::vector<Seconds> *r_at_xb) const;
+    void finishSolution(InnerSolution &sol) const;
 
     const PolicyInputs &_in;
     SolverOptions _opts;
     QueuingModel _queuing;
-    std::vector<Seconds> _minTurnaround; //!< T̄_i cache (per core)
     int _evaluations = 0;
 
     // Constants hoisted out of the per-probe loops.

@@ -549,7 +549,7 @@ runWorkload(const std::string &workload,
             const std::string &policy_name, const ExperimentConfig &cfg,
             const SimConfig &sim_cfg)
 {
-    auto policy = makePolicy(policy_name, cfg.solver);
+    auto policy = makePolicy(policy_name);
     ExperimentRunner runner(
         sim_cfg, workloads::mix(workload, sim_cfg.numCores), *policy,
         cfg);

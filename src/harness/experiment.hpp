@@ -25,7 +25,6 @@
 #include "core/inputs.hpp"
 #include "core/model_fitter.hpp"
 #include "core/policy.hpp"
-#include "core/solver.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine/backend.hpp"
 #include "sim/system.hpp"
@@ -67,13 +66,6 @@ struct ExperimentConfig
      * mid-run budgetFraction() calls) from its first segment on.
      */
     Scenario scenario;
-    /**
-     * Options for the solver-backed policies created through
-     * runWorkload() (socket budgets, reference implementation,
-     * warm-start bracket shrink). Policies constructed by the caller
-     * carry their own options; this field does not reach them.
-     */
-    SolverOptions solver;
     /**
      * Simulation-engine shard count (EngineConfig::shards). 0 = auto:
      * the monolithic engine up to 64 cores — bit-identical to

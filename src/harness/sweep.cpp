@@ -480,7 +480,6 @@ SweepRunner::runOne(const SweepGrid &grid, std::size_t run_index)
     ecfg.budgetFraction = run.point.budgetFraction;
     ecfg.targetInstructions = grid.targetInstructions;
     ecfg.maxEpochs = grid.maxEpochs;
-    ecfg.solver = grid.solver;
     ecfg.shards = grid.shards;
     ecfg.shardThreads = grid.shardThreads;
     if (grid.hasScenarioAxis())

@@ -84,12 +84,6 @@ struct SweepGrid
     int maxEpochs = 2000;
     std::uint64_t baseSeed = 0x5eedf00dULL;
     /**
-     * Solver options applied to every run's solver-backed policies
-     * (validation sweeps set referenceImpl / exhaustiveMemSearch to
-     * cross-check the optimised hot path at full-experiment scale).
-     */
-    SolverOptions solver;
-    /**
      * Derive seeds from the trace coordinates (config, workload,
      * scenario, replicate) instead of the full run index, so runs
      * differing only in policy or budget share one seed and see the

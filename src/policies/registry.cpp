@@ -13,16 +13,10 @@ namespace fastcap {
 std::unique_ptr<CappingPolicy>
 makePolicy(const std::string &name)
 {
-    return makePolicy(name, SolverOptions{});
-}
-
-std::unique_ptr<CappingPolicy>
-makePolicy(const std::string &name, const SolverOptions &opts)
-{
     if (name == "FastCap")
-        return std::make_unique<FastCapPolicy>(opts);
+        return std::make_unique<FastCapPolicy>();
     if (name == "CPU-only")
-        return std::make_unique<CpuOnlyPolicy>(opts);
+        return std::make_unique<CpuOnlyPolicy>();
     if (name == "Uncapped")
         return std::make_unique<UncappedPolicy>();
     if (name == "Freq-Par")

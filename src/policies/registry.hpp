@@ -13,21 +13,11 @@
 #include <vector>
 
 #include "core/policy.hpp"
-#include "core/solver.hpp"
 
 namespace fastcap {
 
 /** Instantiate a policy by its report name; fatal() if unknown. */
 std::unique_ptr<CappingPolicy> makePolicy(const std::string &name);
-
-/**
- * As above, configuring the solver-backed policies ("FastCap",
- * "CPU-only") with explicit options — socket budgets, the reference
- * per-core implementation, warm-start behaviour. Policies that do not
- * run the FastCap solver ignore the options.
- */
-std::unique_ptr<CappingPolicy> makePolicy(const std::string &name,
-                                          const SolverOptions &opts);
 
 /** All policy names known to the registry. */
 std::vector<std::string> policyNames();

@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -39,10 +40,12 @@ ArgParser::addDouble(const std::string &name, double def,
 }
 
 void
-ArgParser::addInt(const std::string &name, long def, std::string help)
+ArgParser::addInt(const std::string &name, long def, std::string help,
+                  long min, long max)
 {
     if (!_options.emplace(name, Option{Kind::Int, std::move(help),
-                                       std::to_string(def), false})
+                                       std::to_string(def), false, min,
+                                       max})
              .second)
         panic("ArgParser: duplicate option --%s", name.c_str());
     _order.push_back(name);
@@ -75,8 +78,10 @@ ArgParser::assign(const std::string &name, const std::string &value)
       }
       case Kind::Int: {
         char *end = nullptr;
-        (void)std::strtol(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0')
+        errno = 0;
+        const long parsed = std::strtol(value.c_str(), &end, 10);
+        if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+            parsed < opt.min || parsed > opt.max)
             return false;
         break;
       }

@@ -8,6 +8,7 @@
 #ifndef FASTCAP_UTIL_ARGS_HPP
 #define FASTCAP_UTIL_ARGS_HPP
 
+#include <climits>
 #include <map>
 #include <string>
 #include <vector>
@@ -36,8 +37,13 @@ class ArgParser
     /** Declare a double-valued option. */
     void addDouble(const std::string &name, double def,
                    std::string help);
-    /** Declare an integer-valued option. */
-    void addInt(const std::string &name, long def, std::string help);
+    /**
+     * Declare an integer-valued option. A value outside [min, max] —
+     * by default the range of int, which is where most options are
+     * stored — is rejected as a bad value.
+     */
+    void addInt(const std::string &name, long def, std::string help,
+                long min = INT_MIN, long max = INT_MAX);
     /** Declare a boolean switch (false unless present). */
     void addFlag(const std::string &name, std::string help);
 
@@ -67,6 +73,8 @@ class ArgParser
         std::string help;
         std::string value;  //!< current (default or parsed) value
         bool provided = false;
+        long min = 0;       //!< Int range, inclusive
+        long max = 0;
     };
 
     const Option &find(const std::string &name, Kind kind) const;

@@ -173,7 +173,10 @@ logkv(LogLevel lvl, const char *module, const char *event,
 }
 
 /**
- * Unrecoverable user error: logs and throws FatalError.
+ * Unrecoverable user error: throws FatalError carrying the message.
+ * Nothing is logged here; whoever catches the error reports it (the
+ * CLIs print it once on stderr), so it shows exactly once at every
+ * log level.
  *
  * Use for bad configuration or impossible requests (e.g., a power
  * budget below the floor power of the machine).

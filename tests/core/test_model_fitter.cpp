@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/model_fitter.hpp"
+#include "solver_oracle.hpp"
 #include "util/logging.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -149,8 +150,8 @@ TEST(ModelFitter, MemoryUsesBetaDefault)
 
 /**
  * The tracker's incremental (rank-1 moment update) fit must agree
- * with a from-scratch batch fitPowerLaw over the same history, within
- * tolerance, through thousands of observations — new frequencies,
+ * with a from-scratch batch oracle::fitPowerLaw over the same history,
+ * within tolerance, through thousands of observations — new frequencies,
  * in-place refreshes and evictions all update the running sums, so
  * this is where accumulated drift would show.
  */
@@ -202,7 +203,7 @@ TEST(PowerLawTracker, IncrementalFitTracksBatchFitWithinTolerance)
             xs.push_back(o.ratio);
             ys.push_back(o.power);
         }
-        const PowerLawFit fit = fitPowerLaw(xs, ys);
+        const oracle::PowerLawFit fit = oracle::fitPowerLaw(xs, ys);
         ASSERT_TRUE(fit.valid) << "step " << step;
         const double exp_batch =
             std::clamp(fit.exponent, min_exp, max_exp);

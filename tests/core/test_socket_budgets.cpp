@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/solver.hpp"
+#include "solver_oracle.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -256,14 +257,10 @@ TEST(SocketBudgets, PartitionedSocketProbesBitIdenticalToReference)
                  in.budget * frac * static_cast<double>(count) /
                      static_cast<double>(n)});
         }
-        SolverOptions ref_opts = opt_opts;
-        ref_opts.referenceImpl = true;
-        ref_opts.exhaustiveMemSearch = true;
-
         FastCapSolver optimised(in, opt_opts);
-        FastCapSolver reference(in, ref_opts);
         const SolveResult a = optimised.solve();
-        const SolveResult b = reference.solve();
+        const SolveResult b = oracle::exhaustiveSolve(
+            in, opt_opts, oracle::Inner::Reference);
 
         const std::string ctx = "seed " + std::to_string(seed);
         ASSERT_EQ(a.memIndex, b.memIndex) << ctx;

@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "core/solver.hpp"
+#include "solver_oracle.hpp"
 #include "util/logging.hpp"
 
 namespace fastcap {
@@ -220,10 +221,7 @@ TEST(Solver, BinarySearchMatchesExhaustive)
         FastCapSolver fast(in, tight);
         const SolveResult res_fast = fast.solve();
 
-        SolverOptions tight_full = tight;
-        tight_full.exhaustiveMemSearch = true;
-        FastCapSolver full(in, tight_full);
-        const SolveResult res_full = full.solve();
+        const SolveResult res_full = oracle::exhaustiveSolve(in, tight);
 
         EXPECT_NEAR(res_fast.best.d, res_full.best.d,
                     1e-5 * std::abs(res_full.best.d) + 1e-12)
@@ -238,15 +236,12 @@ TEST(Solver, BinarySearchUsesFewerEvaluations)
 
     FastCapSolver fast(in);
     (void)fast.solve();
-    SolverOptions exhaustive;
-    exhaustive.exhaustiveMemSearch = true;
-    FastCapSolver full(in, exhaustive);
-    (void)full.solve();
+    const SolveResult full = oracle::exhaustiveSolve(in);
 
     // O(log M) vs O(M): with M=10, the search needs at most ~8
     // distinct evaluations (memoized).
     EXPECT_LE(fast.evaluations(), 8);
-    EXPECT_EQ(full.evaluations(), 10);
+    EXPECT_EQ(full.evaluations, 10);
 }
 
 TEST(Solver, MemoryBoundWorkloadKeepsMemoryFast)

@@ -18,6 +18,7 @@
 #include "core/solver.hpp"
 #include "harness/experiment.hpp"
 #include "harness/metrics.hpp"
+#include "solver_oracle.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -102,8 +103,8 @@ TEST_P(SolverFuzz, InvariantsHold)
     }
 
     // Power consistency: reported prediction matches Eq. 6's LHS.
-    const Watts recomputed =
-        solver.power(res.best.coreRatios, res.best.memRatio);
+    const Watts recomputed = oracle::modelPower(
+        in, res.best.coreRatios, res.best.memRatio);
     EXPECT_NEAR(recomputed, res.best.predictedPower,
                 1e-6 * std::max(1.0, recomputed));
 
@@ -131,10 +132,7 @@ TEST_P(SolverFuzz, InvariantsHold)
 
     // Binary search (already used above) agrees with the exhaustive
     // reference.
-    SolverOptions exhaustive;
-    exhaustive.exhaustiveMemSearch = true;
-    FastCapSolver full(in, exhaustive);
-    const SolveResult ref = full.solve();
+    const SolveResult ref = oracle::exhaustiveSolve(in);
     EXPECT_NEAR(res.best.d, ref.best.d,
                 1e-4 * std::max(std::abs(ref.best.d), 1e-9))
         << "seed " << GetParam();
@@ -177,8 +175,6 @@ TEST_P(SolverFuzz, OptimisedPathBitIdenticalToExhaustiveReference)
 
         SolverOptions opt_opts; // optimised: classes + binary search
         SolverOptions ref_opts; // reference: per-core + full scan
-        ref_opts.referenceImpl = true;
-        ref_opts.exhaustiveMemSearch = true;
         if (seed % 3 == 0) {
             // Exercise the socket constraint path on a third of the
             // corpus (both paths must agree there too).
@@ -197,9 +193,9 @@ TEST_P(SolverFuzz, OptimisedPathBitIdenticalToExhaustiveReference)
         }
 
         FastCapSolver optimised(in, opt_opts);
-        FastCapSolver reference(in, ref_opts);
         const SolveResult a = optimised.solve();
-        const SolveResult b = reference.solve();
+        const SolveResult b = oracle::exhaustiveSolve(
+            in, ref_opts, oracle::Inner::Reference);
 
         const std::string ctx = "seed " + std::to_string(seed) +
             " distinct " + std::to_string(distinct);

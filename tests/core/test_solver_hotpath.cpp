@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the solver hot path introduced for many-core scaling
- * (ISSUE 4): the structure-of-arrays / equivalence-class inner solve
- * must be *bit-identical* to the per-core reference implementation,
+ * Tests for the solver hot path introduced for many-core scaling:
+ * the structure-of-arrays / equivalence-class inner solve must be
+ * *bit-identical* to the per-core reference implementation (the
+ * validation oracle in tests/support/solver_oracle.hpp),
  * the warm-started memory search must pick the same level as a cold
  * search, and warm-started experiments must reproduce cold-start
  * epoch records exactly.
@@ -15,7 +16,7 @@
 #include "core/fastcap_policy.hpp"
 #include "core/solver.hpp"
 #include "harness/experiment.hpp"
-#include "policies/registry.hpp"
+#include "solver_oracle.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "workload/spec_table.hpp"
@@ -118,12 +119,11 @@ TEST(SolverHotPath, InnerSolveBitIdenticalToReference)
                                        std::size_t{32}}) {
         const PolicyInputs in = classedInputs(32, distinct, 21);
         FastCapSolver fast(in);
-        SolverOptions ref_opts;
-        ref_opts.referenceImpl = true;
-        FastCapSolver ref(in, ref_opts);
         for (std::size_t m = 0; m < in.memRatios.size(); ++m) {
             expectBitIdentical(
-                fast.solveAtMemIndex(m), ref.solveAtMemIndex(m),
+                fast.solveAtMemIndex(m),
+                oracle::referenceSolveAtMemRatio(in, SolverOptions{},
+                                                 in.memRatios[m]),
                 "level " + std::to_string(m) + " distinct " +
                     std::to_string(distinct));
         }
@@ -135,11 +135,8 @@ TEST(SolverHotPath, FullSolveBitIdenticalToReference)
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         const PolicyInputs in = classedInputs(48, 6, seed);
         FastCapSolver fast(in);
-        SolverOptions ref_opts;
-        ref_opts.referenceImpl = true;
-        FastCapSolver ref(in, ref_opts);
         const SolveResult a = fast.solve();
-        const SolveResult b = ref.solve();
+        const SolveResult b = oracle::referenceSolve(in);
         EXPECT_EQ(a.memIndex, b.memIndex) << "seed " << seed;
         expectBitIdentical(a.best, b.best,
                            "seed " + std::to_string(seed));
@@ -152,13 +149,10 @@ TEST(SolverHotPath, SocketBudgetsBitIdenticalToReference)
     SolverOptions opts;
     opts.socketBudgets = {{0, 8, in.budget * 0.45},
                           {8, 8, in.budget * 0.55}};
-    SolverOptions ref_opts = opts;
-    ref_opts.referenceImpl = true;
 
     FastCapSolver fast(in, opts);
-    FastCapSolver ref(in, ref_opts);
     const SolveResult a = fast.solve();
-    const SolveResult b = ref.solve();
+    const SolveResult b = oracle::referenceSolve(in, opts);
     EXPECT_EQ(a.memIndex, b.memIndex);
     expectBitIdentical(a.best, b.best, "socket solve");
 }
@@ -231,26 +225,6 @@ TEST(SolverHotPath, SaturatedHighSurfacesAmpleBudget)
     EXPECT_TRUE(res.best.saturatedHigh)
         << "budget above the level's ceiling clamps D at maxD";
     EXPECT_FALSE(res.best.saturatedLow);
-}
-
-TEST(SolverHotPath, RegistryPassesSolverOptionsThrough)
-{
-    const PolicyInputs in = classedInputs(8, 2, 9);
-    SolverOptions ref_opts;
-    ref_opts.referenceImpl = true;
-    ref_opts.exhaustiveMemSearch = true;
-
-    auto fast = makePolicy("FastCap");
-    auto ref = makePolicy("FastCap", ref_opts);
-    const PolicyDecision a = fast->decide(in);
-    const PolicyDecision b = ref->decide(in);
-    ASSERT_EQ(a.coreFreqIdx.size(), b.coreFreqIdx.size());
-    for (std::size_t i = 0; i < a.coreFreqIdx.size(); ++i)
-        EXPECT_EQ(a.coreFreqIdx[i], b.coreFreqIdx[i]);
-    EXPECT_EQ(a.memFreqIdx, b.memFreqIdx);
-    EXPECT_EQ(a.predictedPower, b.predictedPower);
-    EXPECT_GT(b.evaluations, a.evaluations)
-        << "exhaustive reference scans every level";
 }
 
 TEST(SolverHotPath, WarmExperimentMatchesColdStartBitForBit)

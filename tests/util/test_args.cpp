@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "util/args.hpp"
 #include "util/logging.hpp"
 
@@ -100,6 +102,30 @@ TEST(Args, RejectsBadNumericValue)
         const char *argv3[] = {"prog", "--budget", bad};
         EXPECT_FALSE(p.parse(3, argv3)) << bad;
     }
+
+    // Integers outside the option's range (int by default) must not
+    // wrap: 4294967312 would become 16 in an int, 4294967297 would
+    // become 1.
+    for (const char *bad : {"4294967312", "4294967297", "2147483648",
+                            "-2147483649", "99999999999999999999"}) {
+        ArgParser p = makeParser();
+        const char *argv4[] = {"prog", "--cores", bad};
+        EXPECT_FALSE(p.parse(3, argv4)) << bad;
+    }
+
+    // A wider declared range still rejects what overflows a long, and
+    // its own bounds.
+    for (const char *bad : {"99999999999999999999",
+                            "-99999999999999999999"}) {
+        ArgParser p("prog", "test program");
+        p.addInt("seed", 0, "seed", LONG_MIN, LONG_MAX);
+        const char *argv5[] = {"prog", "--seed", bad};
+        EXPECT_FALSE(p.parse(3, argv5)) << bad;
+    }
+    ArgParser events("prog", "test program");
+    events.addInt("events", 0, "event cap", 0, LONG_MAX);
+    const char *argv6[] = {"prog", "--events", "-1"};
+    EXPECT_FALSE(events.parse(3, argv6));
 }
 
 TEST(Args, RejectsMissingValue)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for root finding and least-squares fitting — the numeric
- * engines behind the FastCap inner solve and the online model fitter.
+ * Tests for root finding — the numeric engine behind the FastCap
+ * inner solve — and for the batch least-squares fits of the test
+ * oracles the online model fitter is checked against.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <vector>
 
+#include "solver_oracle.hpp"
 #include "util/math.hpp"
 
 namespace fastcap {
@@ -152,7 +154,7 @@ TEST(FitLinear, ExactTwoPointFit)
 {
     const std::vector<double> xs{1.0, 3.0};
     const std::vector<double> ys{2.0, 8.0};
-    const LinearFit fit = fitLinear(xs, ys);
+    const oracle::LinearFit fit = oracle::fitLinear(xs, ys);
     ASSERT_TRUE(fit.valid);
     EXPECT_NEAR(fit.slope, 3.0, 1e-12);
     EXPECT_NEAR(fit.intercept, -1.0, 1e-12);
@@ -163,9 +165,9 @@ TEST(FitLinear, RejectsDegenerateInput)
 {
     const std::vector<double> xs{2.0, 2.0};
     const std::vector<double> ys{1.0, 3.0};
-    EXPECT_FALSE(fitLinear(xs, ys).valid);
-    EXPECT_FALSE(fitLinear(std::vector<double>{1.0},
-                           std::vector<double>{1.0}).valid);
+    EXPECT_FALSE(oracle::fitLinear(xs, ys).valid);
+    EXPECT_FALSE(oracle::fitLinear(std::vector<double>{1.0},
+                                   std::vector<double>{1.0}).valid);
 }
 
 TEST(FitLinear, NoisyFitRecoversSlope)
@@ -176,7 +178,7 @@ TEST(FitLinear, NoisyFitRecoversSlope)
         xs.push_back(x);
         ys.push_back(2.5 * x + 1.0 + ((i % 2) ? 0.01 : -0.01));
     }
-    const LinearFit fit = fitLinear(xs, ys);
+    const oracle::LinearFit fit = oracle::fitLinear(xs, ys);
     ASSERT_TRUE(fit.valid);
     EXPECT_NEAR(fit.slope, 2.5, 0.01);
     EXPECT_GT(fit.r2, 0.999);
@@ -190,7 +192,7 @@ TEST(FitPowerLaw, RecoversExactPowerLaw)
         xs.push_back(x);
         ys.push_back(3.5 * std::pow(x, 2.7));
     }
-    const PowerLawFit fit = fitPowerLaw(xs, ys);
+    const oracle::PowerLawFit fit = oracle::fitPowerLaw(xs, ys);
     ASSERT_TRUE(fit.valid);
     EXPECT_NEAR(fit.scale, 3.5, 1e-9);
     EXPECT_NEAR(fit.exponent, 2.7, 1e-9);
@@ -200,7 +202,7 @@ TEST(FitPowerLaw, IgnoresNonPositivePoints)
 {
     const std::vector<double> xs{-1.0, 0.5, 1.0, 0.0};
     const std::vector<double> ys{5.0, std::sqrt(0.5) * 2.0, 2.0, 7.0};
-    const PowerLawFit fit = fitPowerLaw(xs, ys);
+    const oracle::PowerLawFit fit = oracle::fitPowerLaw(xs, ys);
     ASSERT_TRUE(fit.valid);
     EXPECT_NEAR(fit.exponent, 0.5, 1e-9);
     EXPECT_NEAR(fit.scale, 2.0, 1e-9);
@@ -210,7 +212,7 @@ TEST(FitPowerLaw, InvalidWithOneUsablePoint)
 {
     const std::vector<double> xs{1.0};
     const std::vector<double> ys{2.0};
-    EXPECT_FALSE(fitPowerLaw(xs, ys).valid);
+    EXPECT_FALSE(oracle::fitPowerLaw(xs, ys).valid);
 }
 
 TEST(ClampSafe, HandlesReversedBounds)

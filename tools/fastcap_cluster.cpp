@@ -15,6 +15,7 @@
  * gate runs 1 vs N).
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -107,7 +108,8 @@ main(int argc, char **argv)
                    "arbiter floor: guaranteed peak share per machine");
     args.addString("fail", "",
                    "failure schedule: MACHINE@FAIL[:RESTORE];...");
-    args.addInt("seed", 0, "base seed (0 = default)");
+    args.addInt("seed", 0, "base seed (0 = default)", LONG_MIN,
+                LONG_MAX);
     args.addString("csv", "",
                    "write the per-epoch rack CSV here ('-' = stdout)");
     args.addFlag("telemetry",

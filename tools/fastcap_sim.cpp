@@ -16,6 +16,7 @@
  *       fastcap_sim --workload idle --trace - --max-epochs 50
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
@@ -58,7 +59,8 @@ main(int argc, char **argv)
     args.addString("scenario", "",
                    "inline time-varying scenario, e.g. "
                    "'name=drop|budget=step@0:0.9;step@0.05:0.5'");
-    args.addInt("seed", 0, "simulation seed (0 = default)");
+    args.addInt("seed", 0, "simulation seed (0 = default)", LONG_MIN,
+                LONG_MAX);
     args.addInt("max-epochs", 1000,
                 "hard stop in epochs (bounds trace replays whose "
                 "apps never complete)");

@@ -21,7 +21,8 @@
  *   budgets   = 0.6
  *   cores     = 16,32
  *
- * Explicit flags override spec-file values.
+ * Explicit flags override spec-file values; a key that names no flag
+ * is an error.
  *
  * Time-varying scenarios (budget schedules and job churn) form an
  * optional grid axis:
@@ -33,6 +34,8 @@
  * without one the output is byte-identical to scenario-less builds.
  */
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -90,9 +93,12 @@ splitInts(const std::string &csv, const char *what)
     std::vector<int> out;
     for (const std::string &s : splitList(csv)) {
         char *end = nullptr;
+        errno = 0;
         const long v = std::strtol(s.c_str(), &end, 10);
-        // Strict: "16.9" or "1e2" must not silently truncate.
-        if (end == s.c_str() || *end != '\0')
+        // Strict: "16.9", "1e2" or 4294967312 must not silently
+        // truncate or wrap.
+        if (end == s.c_str() || *end != '\0' || errno == ERANGE ||
+            v < INT_MIN || v > INT_MAX)
             fatal("bad %s value '%s' (expected an integer)", what,
                   s.c_str());
         out.push_back(static_cast<int>(v));
@@ -200,13 +206,6 @@ main(int argc, char **argv)
     args.addFlag("paired-seeds",
                  "runs differing only in policy/budget share a seed "
                  "(for normalized comparisons)");
-    args.addFlag("reference-solver",
-                 "run the per-core reference solver instead of the "
-                 "equivalence-class hot path (validation; results "
-                 "are bit-identical either way)");
-    args.addFlag("exhaustive-mem-search",
-                 "scan every memory level instead of Algorithm 1's "
-                 "binary search (validation)");
     args.addString("shards", "0",
                    "simulation-engine shards per run (0 = auto: "
                    "monolithic <= 64 cores, sharded above; output is "
@@ -246,7 +245,6 @@ main(int argc, char **argv)
                 "budgets",   "cores",        "replicates",
                 "instructions", "max-epochs", "seed",
                 "paired-seeds", "scenario",   "scenario-file",
-                "reference-solver", "exhaustive-mem-search",
                 "shards", "shard-threads"};
             bool ok = false;
             for (const char *k : known)
@@ -290,27 +288,24 @@ main(int argc, char **argv)
         grid.targetInstructions =
             oneDouble(value("instructions"), "instructions");
         grid.maxEpochs = oneInt(value("max-epochs"), "max-epochs");
-        // Full 64-bit seeds, decimal or 0x-hex. Reject negatives
-        // rather than letting strtoull wrap them around silently.
+        // Full 64-bit seeds, decimal or 0x-hex. Reject negatives and
+        // overflow rather than letting strtoull wrap or saturate them
+        // silently.
         const std::string seed_str = value("seed");
         char *end = nullptr;
+        errno = 0;
         const std::uint64_t seed =
             std::strtoull(seed_str.c_str(), &end, 0);
-        if (end == seed_str.c_str() || *end != '\0' ||
+        if (end == seed_str.c_str() || *end != '\0' || errno == ERANGE ||
             seed_str.find('-') != std::string::npos)
             fatal("bad seed '%s'", seed_str.c_str());
         if (seed != 0)
             grid.baseSeed = seed;
         // The flag form is boolean-valued, the spec form true/false.
-        const auto boolOption = [&](const char *name) {
-            return args.getFlag(name) ||
-                   (spec.count(name) &&
-                    parseBool(spec.at(name), name));
-        };
-        grid.pairSeedsAcrossPolicies = boolOption("paired-seeds");
-        grid.solver.referenceImpl = boolOption("reference-solver");
-        grid.solver.exhaustiveMemSearch =
-            boolOption("exhaustive-mem-search");
+        grid.pairSeedsAcrossPolicies =
+            args.getFlag("paired-seeds") ||
+            (spec.count("paired-seeds") &&
+             parseBool(spec.at("paired-seeds"), "paired-seeds"));
         grid.shards = oneInt(value("shards"), "shards");
         grid.shardThreads =
             oneInt(value("shard-threads"), "shard-threads");

@@ -14,6 +14,7 @@
  * fastcap_sim / fastcap_sweep.
  */
 
+#include <climits>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -79,8 +80,9 @@ main(int argc, char **argv)
                    "mean exponential service demand (s)");
     args.addInt("max-cores", 1,
                 "per-job core demand drawn from [1, N]");
-    args.addInt("seed", 1, "generator seed");
-    args.addInt("events", 0, "hard event cap (0 = horizon only)");
+    args.addInt("seed", 1, "generator seed", LONG_MIN, LONG_MAX);
+    args.addInt("events", 0, "hard event cap (0 = horizon only)", 0,
+                LONG_MAX);
     args.addDouble("burst-factor", 8.0, "mmpp: burst-state rate gain");
     args.addDouble("mean-burst", 0.02, "mmpp: mean burst dwell (s)");
     args.addDouble("mean-quiet", 0.1, "mmpp: mean quiet dwell (s)");
